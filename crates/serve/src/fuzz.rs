@@ -6,7 +6,9 @@
 //! headers, bodies declared beyond the size limit, heads blown past
 //! [`crate::MAX_HEAD_BYTES`], pipelined trailing garbage, invalid UTF-8 in
 //! JSON bodies, mangled request lines, colon-less headers, torn bodies,
-//! and plain binary noise. The server's contract under all of them: a
+//! plain binary noise, and well-framed JSON bodies aimed at the string
+//! decoder (long runs, deep escapes, bad surrogates, raw control
+//! characters). The server's contract under all of them: a
 //! well-formed HTTP error response or a clean close — never a panic, a
 //! wedged event loop, or a leaked fd.
 //!
@@ -28,6 +30,9 @@
 pub struct RequestFuzzGen {
     state: u64,
 }
+
+/// How many request shapes [`RequestFuzzGen::generate`] rotates through.
+const SHAPES: u64 = 11;
 
 impl RequestFuzzGen {
     /// Creates a generator; the seed fully determines the output.
@@ -53,6 +58,11 @@ impl RequestFuzzGen {
         self.next_u64() % n
     }
 
+    /// A uniformly drawn element of `options`.
+    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+        options[self.below(options.len() as u64) as usize]
+    }
+
     /// `len` bytes of unrestricted binary noise.
     fn noise(&mut self, len: usize) -> Vec<u8> {
         (0..len).map(|_| (self.next_u64() & 0xFF) as u8).collect()
@@ -62,11 +72,117 @@ impl RequestFuzzGen {
     fn request_line(&mut self) -> String {
         const METHODS: [&str; 5] = ["GET", "POST", "PUT", "get", "P\u{0}ST"];
         const PATHS: [&str; 5] = ["/healthz", "/v1/run", "/v1/batch", "/", "/..//x"];
-        format!(
-            "{} {} HTTP/1.1",
-            METHODS[self.below(METHODS.len() as u64) as usize],
-            PATHS[self.below(PATHS.len() as u64) as usize],
-        )
+        format!("{} {} HTTP/1.1", self.pick(&METHODS), self.pick(&PATHS),)
+    }
+
+    /// A JSON document aimed at the string decoder: a request-shaped
+    /// object (or a bare string) whose strings mix plain runs of up to
+    /// `max_run` bytes, multi-byte UTF-8, every escape, runs of escapes,
+    /// valid and broken surrogates, and raw control characters. Some
+    /// documents are cut short mid-value. The text is always valid UTF-8,
+    /// so it exercises the JSON layer, not the body's UTF-8 check.
+    pub fn json_document(&mut self, max_run: usize) -> String {
+        let mut doc = String::new();
+        match self.below(4) {
+            0 => {
+                doc.push_str(r#"{"source":"#);
+                self.json_string(&mut doc, max_run);
+                doc.push('}');
+            }
+            1 => {
+                doc.push_str(r#"{"items":["#);
+                for i in 0..1 + self.below(3) {
+                    if i > 0 {
+                        doc.push(',');
+                    }
+                    doc.push_str(r#"{"source":"#);
+                    self.json_string(&mut doc, max_run);
+                    doc.push('}');
+                }
+                doc.push_str("]}");
+            }
+            // Strings as keys too, in a nested array.
+            2 => {
+                doc.push('{');
+                self.json_string(&mut doc, max_run);
+                doc.push_str(":[");
+                self.json_string(&mut doc, max_run);
+                doc.push_str(",null]}");
+            }
+            _ => self.json_string(&mut doc, max_run),
+        }
+        if self.below(8) == 0 {
+            let mut cut = self.below(doc.len() as u64 + 1) as usize;
+            while !doc.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            doc.truncate(cut);
+        }
+        doc
+    }
+
+    /// Appends one quoted JSON string built from random segments.
+    fn json_string(&mut self, out: &mut String, max_run: usize) {
+        // Multi-byte UTF-8 up to the last scalar, plus DEL, which JSON
+        // leaves unescaped.
+        const ODD_CHARS: [char; 6] = ['é', '中', '🦀', '\u{7f}', '\u{ffff}', '\u{10ffff}'];
+        const ESCAPES: [&str; 8] = [r#"\""#, r"\\", r"\/", r"\b", r"\f", r"\n", r"\r", r"\t"];
+        const BROKEN: [&str; 9] = [
+            r"\ud83e",       // lone high surrogate
+            r"\ud83e\u0041", // high surrogate, bad low
+            r"\ud800\ud800", // two highs
+            r"\udc00",       // lone low surrogate
+            r"\u12",         // truncated
+            r"\uzzzz",       // not hex
+            r"\u12é",        // multi-byte char inside the hex digits
+            r"\x",           // unknown escape
+            "\\",            // bare backslash: escapes whatever follows
+        ];
+        out.push('"');
+        for _ in 0..self.below(9) {
+            match self.below(16) {
+                // Plain runs, sometimes with multi-byte chars inside.
+                0..=4 => {
+                    let len = self.below(max_run as u64 + 1);
+                    for _ in 0..len {
+                        match self.below(32) {
+                            0 => out.push(self.pick(&ODD_CHARS)),
+                            // Printable ASCII minus the quote and backslash.
+                            _ => out.push(match (b' ' + self.below(95) as u8) as char {
+                                '"' | '\\' => '_',
+                                c => c,
+                            }),
+                        }
+                    }
+                }
+                5 => out.push(self.pick(&ODD_CHARS)),
+                6 => out.push_str(self.pick(&ESCAPES)),
+                // Deep escapes: a long run of consecutive escapes.
+                7 => {
+                    for _ in 0..self.below(max_run as u64 / 2 + 1) {
+                        out.push_str(self.pick(&ESCAPES));
+                    }
+                }
+                8 => {
+                    // Any BMP scalar outside the surrogate block.
+                    let code = match self.below(0xF800) as u32 {
+                        c if c < 0xD800 => c,
+                        c => c + 0x800,
+                    };
+                    out.push_str(&format!("\\u{code:04x}"));
+                }
+                9 => {
+                    let hi = 0xD800 + self.below(0x400);
+                    let lo = 0xDC00 + self.below(0x400);
+                    out.push_str(&format!("\\u{hi:04X}\\u{lo:04x}"));
+                }
+                10 | 11 => out.push_str(self.pick(&BROKEN)),
+                12 => out.push(char::from(self.below(0x20) as u8)),
+                // Short plain text between the other segments.
+                _ => out.push_str(" bay "),
+            }
+        }
+        out.push('"');
     }
 
     /// Generates one request byte string. Shapes rotate through the
@@ -74,7 +190,7 @@ impl RequestFuzzGen {
     /// trailers, odd methods) so the corpus also exercises the boundary
     /// between reject and accept.
     pub fn generate(&mut self) -> Vec<u8> {
-        match self.below(10) {
+        match self.below(SHAPES) {
             // Valid framing, invalid UTF-8 where JSON should be.
             0 => {
                 let mut body = br#"{"source":""#.to_vec();
@@ -94,7 +210,7 @@ impl RequestFuzzGen {
                 let value = if self.below(4) == 0 {
                     "5\r\nContent-Length: 7".to_string() // conflicting pair
                 } else {
-                    BAD[self.below(BAD.len() as u64) as usize].to_string()
+                    self.pick(&BAD).to_string()
                 };
                 format!(
                     "{}\r\nHost: fuzz\r\nContent-Length: {value}\r\n\r\nhello",
@@ -139,11 +255,7 @@ impl RequestFuzzGen {
                     "GET\t/healthz\tHTTP/1.1",
                     "HTTP/1.1 200 OK", // a *response* line, rudely
                 ];
-                format!(
-                    "{}\r\nHost: fuzz\r\n\r\n",
-                    LINES[self.below(LINES.len() as u64) as usize]
-                )
-                .into_bytes()
+                format!("{}\r\nHost: fuzz\r\n\r\n", self.pick(&LINES)).into_bytes()
             }
             // Header lines without a colon (or with an empty name).
             7 => {
@@ -152,7 +264,7 @@ impl RequestFuzzGen {
                 format!(
                     "{}\r\n{}\r\nHost: fuzz\r\n\r\n",
                     self.request_line(),
-                    HEADERS[self.below(HEADERS.len() as u64) as usize]
+                    self.pick(&HEADERS)
                 )
                 .into_bytes()
             }
@@ -166,6 +278,20 @@ impl RequestFuzzGen {
                 .into_bytes();
                 req.extend(std::iter::repeat_n(b'{', sent));
                 req
+            }
+            // Well-framed JSON body aimed at the string decoder; one in
+            // eight carries runs long enough that per-character decoding
+            // would be quadratic.
+            9 => {
+                const PATHS: [&str; 4] = ["/v1/run", "/v1/check", "/v1/batch", "/v1/sweep"];
+                let path = self.pick(&PATHS);
+                let max_run = if self.below(8) == 0 { 64 * 1024 } else { 1024 };
+                let body = self.json_document(max_run);
+                format!(
+                    "POST {path} HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .into_bytes()
             }
             // Huge request line (path far past any sane length).
             _ => {
@@ -200,8 +326,12 @@ mod tests {
         let mut shapes = std::collections::HashSet::new();
         for seed in 0..100 {
             let mut gen = RequestFuzzGen::new(seed);
-            shapes.insert(gen.below(10));
+            shapes.insert(gen.below(SHAPES));
         }
-        assert_eq!(shapes.len(), 10, "seeds 0..100 miss shapes: {shapes:?}");
+        assert_eq!(
+            shapes.len(),
+            SHAPES as usize,
+            "seeds 0..100 miss shapes: {shapes:?}"
+        );
     }
 }

@@ -38,6 +38,18 @@ impl Json {
         }
     }
 
+    /// Moves the value of a key out of an object, leaving `null` in its
+    /// place; the key found is the one [`Json::get`] would find.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
+            _ => None,
+        }
+    }
+
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -142,18 +154,34 @@ impl fmt::Display for Json {
     }
 }
 
+/// Whether a string byte can be copied verbatim: not a quote, a backslash
+/// or a control character. Every byte of a multi-byte UTF-8 sequence is
+/// plain, so a run of plain bytes always ends on a char boundary.
+fn is_plain(b: u8) -> bool {
+    b != b'"' && b != b'\\' && b >= 0x20
+}
+
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut rest = s;
+    loop {
+        let run = rest
+            .bytes()
+            .position(|b| !is_plain(b))
+            .unwrap_or(rest.len());
+        f.write_str(&rest[..run])?;
+        let Some(&b) = rest.as_bytes().get(run) else {
+            break;
+        };
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
         }
+        rest = &rest[run + 1..];
     }
     f.write_str("\"")
 }
@@ -175,31 +203,55 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document (rejecting trailing garbage).
+/// How deeply arrays and objects may nest. Request bodies nest three or
+/// four levels; the bound keeps a body of bare `[`s from overflowing the
+/// decoding thread's stack, which would abort the whole server.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (rejecting trailing garbage and
+/// nesting deeper than 128 levels). Time is linear in the input's length.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] with the failing byte offset.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
+    Parser::new(input).document()
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
+    /// Decode strings with the char-at-a-time reference decoder instead
+    /// (the differential test's oracle).
+    #[cfg(test)]
+    reference_strings: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            #[cfg(test)]
+            reference_strings: false,
+        }
+    }
+
+    fn document(mut self) -> Result<Json, ParseError> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, msg: &str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -241,12 +293,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, refusing to nest past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -301,65 +367,71 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
+        #[cfg(test)]
+        if self.reference_strings {
+            return self.reference_string();
+        }
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the whole run of plain bytes as one slice; it starts and
+            // ends on char boundaries (see `is_plain`).
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| !is_plain(b))
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("bad low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code).ok_or_else(|| self.err("bad codepoint"))?
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("bad codepoint"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 advanced past the digits
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always at a char boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad UTF-8"))?;
-                    let c = s.chars().next().expect("nonempty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(b'\\') => self.escape(&mut out)?,
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
+    }
+
+    /// Decodes one escape sequence, with `pos` on its backslash.
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        self.pos += 1;
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair.
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("bad low surrogate"));
+                    }
+                    let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(code).ok_or_else(|| self.err("bad codepoint"))?
+                } else {
+                    char::from_u32(hi).ok_or_else(|| self.err("bad codepoint"))?
+                };
+                out.push(c);
+                return Ok(()); // hex4 advanced past the digits
+            }
+            _ => return Err(self.err("bad escape")),
+        }
+        self.pos += 1;
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
@@ -406,6 +478,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::RequestFuzzGen;
 
     #[test]
     fn round_trips_a_nested_document() {
@@ -439,5 +512,156 @@ mod tests {
         assert_eq!(Json::Num(0.5).to_string(), "0.5");
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+    }
+
+    impl Parser<'_> {
+        /// The string decoder as it was before bulk copying: one char at a
+        /// time, re-validating the rest of the input as UTF-8 for each one
+        /// (quadratic). Kept verbatim as the differential test's oracle.
+        pub(super) fn reference_string(&mut self) -> Result<String, ParseError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        match self.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                self.pos += 1;
+                                let hi = self.hex4()?;
+                                let c = if (0xD800..0xDC00).contains(&hi) {
+                                    // Surrogate pair.
+                                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                                        return Err(self.err("lone high surrogate"));
+                                    }
+                                    self.pos += 2;
+                                    let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("bad low surrogate"));
+                                    }
+                                    let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                    char::from_u32(code).ok_or_else(|| self.err("bad codepoint"))?
+                                } else {
+                                    char::from_u32(hi).ok_or_else(|| self.err("bad codepoint"))?
+                                };
+                                out.push(c);
+                                continue; // hex4 advanced past the digits
+                            }
+                            _ => return Err(self.err("bad escape")),
+                        }
+                        self.pos += 1;
+                    }
+                    Some(_) => {
+                        // Consume one UTF-8 scalar (input is a &str, so this is
+                        // always at a char boundary).
+                        let rest = &self.bytes[self.pos..];
+                        let s = std::str::from_utf8(rest).map_err(|_| self.err("bad UTF-8"))?;
+                        let c = s.chars().next().expect("nonempty");
+                        if (c as u32) < 0x20 {
+                            return Err(self.err("raw control character in string"));
+                        }
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both decoders' verdict on one document, errors as `(offset, message)`.
+    fn both(doc: &str) -> [Result<Json, (usize, String)>; 2] {
+        let reference = Parser {
+            reference_strings: true,
+            ..Parser::new(doc)
+        };
+        [Parser::new(doc).document(), reference.document()]
+            .map(|r| r.map_err(|e| (e.offset, e.message)))
+    }
+
+    #[test]
+    fn bulk_string_decoding_matches_the_char_at_a_time_reference() {
+        let (mut decoded, mut rejected) = (0, 0);
+        // Short runs keep the quadratic oracle fast over thousands of
+        // documents; the last few seeds carry multi-kilobyte runs.
+        for seed in 0..3_016u64 {
+            let max_run = if seed < 3_000 {
+                16 << (seed % 5)
+            } else {
+                8 * 1024
+            };
+            let doc = RequestFuzzGen::new(seed).json_document(max_run);
+            let [fast, reference] = both(&doc);
+            assert_eq!(fast, reference, "seed {seed}: {doc:?}");
+            match fast {
+                Ok(_) => decoded += 1,
+                Err(_) => rejected += 1,
+            }
+        }
+        // The corpus must exercise both the success and the error paths.
+        assert!(
+            decoded > 300 && rejected > 300,
+            "{decoded} decoded, {rejected} rejected"
+        );
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets_and_messages() {
+        #[rustfmt::skip]
+        let cases: &[(&str, usize, &str)] = &[
+            ("\"abc",                 4, "unterminated string"),
+            ("\"ab\u{1}c\"",          3, "raw control character in string"),
+            ("\"é\u{1f}\"",           3, "raw control character in string"),
+            (r#""a\x""#,              3, "bad escape"),
+            (r#""\ud83e""#,           7, "lone high surrogate"),
+            (r#""\ud83e\u0041""#,    13, "bad low surrogate"),
+            (r#""\udc00""#,           7, "bad codepoint"),
+            (r#""\u12""#,             3, "truncated \\u escape"),
+            (r#""\u12zz""#,           3, "bad \\u escape"),
+        ];
+        for &(doc, offset, message) in cases {
+            for verdict in both(doc) {
+                let err = verdict.expect_err(doc);
+                assert_eq!((err.0, err.1.as_str()), (offset, message), "{doc:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        // Far past any stack: rejected at the first bracket over the bound.
+        let err = parse(&r#"{"a":"#.repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, 5 * MAX_DEPTH);
+        assert_eq!(err.message, "nesting deeper than 128 levels");
+    }
+
+    #[test]
+    fn decodes_long_runs_around_escapes_and_multibyte_text() {
+        let run = "xé中🦀".repeat(10_000);
+        let doc = format!(r#"["{run}\n{run}🦀{run}"]"#);
+        let want = format!("{run}\n{run}🦀{run}");
+        assert_eq!(
+            parse(&doc).unwrap(),
+            Json::Arr(vec![Json::Str(want.clone())])
+        );
+        // The encoder writes the same runs back out byte for byte.
+        assert_eq!(
+            Json::Str(want).to_string(),
+            format!(r#""{run}\n{run}🦀{run}""#)
+        );
     }
 }

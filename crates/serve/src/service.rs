@@ -251,7 +251,7 @@ impl Service {
         let mut plan: Option<Plan> = None;
         if parsed.engine == Engine::Auto {
             if req.path == "/v1/run" {
-                let (model, scheduler) = parsed.build_model()?;
+                let (model, scheduler) = parsed.build_model(&program)?;
                 // Plan against the optimized model: the cost model reads
                 // the cached pass facts and symmetry signals. The optimized
                 // model is kept only for exact routes — sampling engines
@@ -284,9 +284,9 @@ impl Service {
         self.metrics.record_cache(false);
 
         let response = match req.path.as_str() {
-            "/v1/check" => self.check_endpoint(&parsed)?,
-            "/v1/run" => self.run_endpoint(&parsed, prebuilt, plan.as_ref())?,
-            "/v1/synthesize" => self.synthesize_endpoint(&parsed)?,
+            "/v1/check" => self.check_endpoint(&program)?,
+            "/v1/run" => self.run_endpoint(&parsed, &program, prebuilt, plan.as_ref())?,
+            "/v1/synthesize" => self.synthesize_endpoint(&parsed, &program)?,
             _ => unreachable!("routed"),
         };
         if response.status == 200 {
@@ -303,9 +303,8 @@ impl Service {
         Ok(response)
     }
 
-    fn check_endpoint(&self, req: &InferenceRequest) -> Result<Response, ApiError> {
-        let program = parse(&req.source).expect("parsed once already");
-        match check(&program) {
+    fn check_endpoint(&self, program: &Program) -> Result<Response, ApiError> {
+        match check(program) {
             Ok(report) => {
                 let mut text = String::new();
                 for w in &report.warnings {
@@ -354,13 +353,14 @@ impl Service {
     fn run_endpoint(
         &self,
         req: &InferenceRequest,
+        program: &Program,
         prebuilt: Option<(Model, Box<dyn Scheduler>)>,
         plan: Option<&Plan>,
     ) -> Result<Response, ApiError> {
         let (model, scheduler) = match prebuilt {
             // Auto routing already compiled the model to plan against.
             Some(built) => built,
-            None => req.build_model()?,
+            None => req.build_model(program)?,
         };
         self.run_with_model(req, &model, &*scheduler, req.deadline(), plan)
     }
@@ -574,8 +574,12 @@ impl Service {
         }
     }
 
-    fn synthesize_endpoint(&self, req: &InferenceRequest) -> Result<Response, ApiError> {
-        let (model, scheduler) = req.build_model()?;
+    fn synthesize_endpoint(
+        &self,
+        req: &InferenceRequest,
+        program: &Program,
+    ) -> Result<Response, ApiError> {
+        let (model, scheduler) = req.build_model(program)?;
         let query_idx = req.query.unwrap_or(0);
         req.check_query_index(query_idx, model.queries.len())?;
 
@@ -1281,8 +1285,7 @@ impl SweepRequest {
             message,
             field,
         };
-        let body = req.body_str().map_err(|e| bad(e.to_string(), None))?;
-        let doc = json::parse(body).map_err(|e| bad(e.to_string(), None))?;
+        let mut doc = request_doc(req)?;
         let Some(pairs) = doc.as_obj() else {
             return Err(bad("request body must be a JSON object".into(), None));
         };
@@ -1311,8 +1314,8 @@ impl SweepRequest {
 
         // `program` is accepted as an alias for `source` (a grid file pairs
         // naturally with a program file); setting both is ambiguous.
-        let source_field = doc.get("source").filter(|v| !matches!(v, Json::Null));
-        let program_field = doc.get("program").filter(|v| !matches!(v, Json::Null));
+        let source_field = doc.take("source").filter(|v| !matches!(v, Json::Null));
+        let program_field = doc.take("program").filter(|v| !matches!(v, Json::Null));
         if source_field.is_some() && program_field.is_some() {
             return Err(bad(
                 "`program` conflicts with `source`; set exactly one".into(),
@@ -1320,7 +1323,7 @@ impl SweepRequest {
             ));
         }
         let source = match source_field.or(program_field) {
-            Some(Json::Str(s)) => s.clone(),
+            Some(Json::Str(s)) => s,
             Some(_) => {
                 return Err(bad(
                     "`source` must be a string".into(),
@@ -1591,8 +1594,7 @@ impl BatchRequest {
             message,
             field,
         };
-        let body = req.body_str().map_err(|e| bad(e.to_string(), None))?;
-        let doc = json::parse(body).map_err(|e| bad(e.to_string(), None))?;
+        let mut doc = request_doc(req)?;
         let Some(pairs) = doc.as_obj() else {
             return Err(bad("request body must be a JSON object".into(), None));
         };
@@ -1610,9 +1612,11 @@ impl BatchRequest {
             }
         }
 
-        let shared_source = match doc.get("source") {
+        // `source` and `items` move out of the document instead of being
+        // cloned: a batch body can carry ~100 KB of program text.
+        let shared_source = match doc.take("source") {
             None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s.clone()),
+            Some(Json::Str(s)) => Some(s),
             Some(_) => {
                 return Err(bad(
                     "`source` must be a string".into(),
@@ -1639,17 +1643,15 @@ impl BatchRequest {
             },
         };
 
-        let items = match doc.get("items") {
+        let items = match doc.take("items") {
             None => {
                 return Err(bad(
                     "missing required array field `items`".into(),
                     Some("items".into()),
                 ))
             }
-            Some(v) => match v.as_arr() {
-                Some(items) => items.to_vec(),
-                None => return Err(bad("`items` must be an array".into(), Some("items".into()))),
-            },
+            Some(Json::Arr(items)) => items,
+            Some(_) => return Err(bad("`items` must be an array".into(), Some("items".into()))),
         };
         if items.is_empty() || items.len() > MAX_BATCH_ITEMS {
             return Err(bad(
@@ -1897,15 +1899,7 @@ struct InferenceRequest {
 
 impl InferenceRequest {
     fn from_http(req: &Request) -> Result<InferenceRequest, ApiError> {
-        let bad = |message: String| ApiError {
-            status: 400,
-            kind: "bad_request",
-            message,
-            field: None,
-        };
-        let body = req.body_str().map_err(|e| bad(e.to_string()))?;
-        let doc = json::parse(body).map_err(|e| bad(e.to_string()))?;
-        InferenceRequest::from_json(&doc, None)
+        InferenceRequest::from_json(&request_doc(req)?, None)
     }
 
     /// Decodes one inference request from an already parsed JSON object —
@@ -2108,15 +2102,27 @@ impl InferenceRequest {
         }
     }
 
-    /// The CLI's `load()` pipeline: compile, apply bindings, pick the
-    /// scheduler.
-    fn build_model(&self) -> Result<(Model, Box<dyn Scheduler>), ApiError> {
-        let program = parse(&self.source).expect("parsed once already");
-        let mut model = check_and_compile(&program)?;
+    /// The CLI's `load()` pipeline on the request's parsed `source`:
+    /// compile, apply bindings, pick the scheduler.
+    fn build_model(&self, program: &Program) -> Result<(Model, Box<dyn Scheduler>), ApiError> {
+        let mut model = check_and_compile(program)?;
         apply_bindings(&mut model, &self.bindings)?;
         let scheduler = scheduler_for(&model);
         Ok((model, scheduler))
     }
+}
+
+/// Decodes a request body as one JSON document; bad UTF-8 and bad JSON
+/// are the same structured `400` on every endpoint.
+fn request_doc(req: &Request) -> Result<Json, ApiError> {
+    let bad = |message: String| ApiError {
+        status: 400,
+        kind: "bad_request",
+        message,
+        field: None,
+    };
+    let body = req.body_str().map_err(|e| bad(e.to_string()))?;
+    json::parse(body).map_err(|e| bad(e.to_string()))
 }
 
 /// Integrity-checks and compiles a parsed program with the same error

@@ -3,9 +3,11 @@
 //! must all produce structured `400` responses — never a panic, never a
 //! half-written chunked body, and never a silent fall-back to a default.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
-use bayonet_serve::{parse_json, start, Json, ServerConfig, MAX_BATCH_ITEMS};
+use bayonet_serve::{parse_json, start, Json, ServerConfig, MAX_BATCH_ITEMS, MAX_BODY_BYTES};
 
 mod common;
 use common::TINY;
@@ -395,6 +397,72 @@ fn invalid_items_fail_individually_without_aborting_siblings() {
     assert_eq!(common::metric(&text, "bayonet_batch_requests_total"), 2);
     assert_eq!(common::metric(&text, "bayonet_batch_items_total"), 5);
     assert_eq!(common::metric(&text, "bayonet_batch_item_errors_total"), 4);
+
+    handle.shutdown();
+}
+
+/// POSTs `body` to `/v1/run` and returns `(status, payload)`, failing the
+/// test if the whole reply has not arrived within `limit`.
+fn post_within(addr: SocketAddr, body: &str, limit: Duration, name: &str) -> (u16, String) {
+    let started = Instant::now();
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let head = format!(
+        "POST /v1/run HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    conn.write_all(head.as_bytes()).expect("write head");
+    conn.write_all(body.as_bytes()).expect("write body");
+    conn.set_read_timeout(Some(limit)).unwrap();
+    let mut raw = Vec::new();
+    if let Err(e) = conn.read_to_end(&mut raw) {
+        panic!("{name}: no reply within {limit:?}: {e}");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < limit, "{name}: took {elapsed:?}");
+    let raw = String::from_utf8(raw).expect("utf-8 reply");
+    let (head, payload) = raw.split_once("\r\n\r\n").expect("head/body split");
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("numeric status");
+    (status, payload.to_string())
+}
+
+/// Hostile bodies at the size limit get a structured answer quickly and
+/// leave the server serving. A `source` that is one string of almost
+/// `MAX_BODY_BYTES` decodes in linear time (per-character decoding was
+/// quadratic and held a worker for minutes on it), and a body of bare
+/// `[`s is refused before it can overflow the decoding thread's stack.
+#[test]
+fn bodies_at_the_size_limit_are_answered_promptly() {
+    let handle = start(common::test_config()).expect("start server");
+    let addr = handle.addr();
+
+    let long_source = common::run_body(&"x".repeat(MAX_BODY_BYTES - 64));
+    let nested = "[".repeat(MAX_BODY_BYTES - 64);
+    for (name, body, status, kind) in [
+        ("long source", long_source, 422, "parse_error"),
+        ("deep nesting", nested, 400, "bad_request"),
+    ] {
+        assert!(body.len() <= MAX_BODY_BYTES, "{name}: body over the limit");
+        // Generous: linear decoding takes tens of milliseconds here, the
+        // quadratic decoder took minutes.
+        let (got, payload) = post_within(addr, &body, Duration::from_secs(10), name);
+        let head: String = payload.chars().take(300).collect();
+        assert_eq!(got, status, "{name}: {head}");
+        let doc = parse_json(&payload).unwrap_or_else(|e| panic!("{name}: bad json {e}: {head}"));
+        assert_eq!(
+            doc.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some(kind),
+            "{name}: {head}"
+        );
+
+        let (health, _, text) = common::http(addr, "GET", "/healthz", "");
+        assert_eq!(health, 200, "{name}: server stopped serving: {text}");
+    }
 
     handle.shutdown();
 }
