@@ -27,6 +27,7 @@ use bayonet::{
     Network, Objective, PlanEngine, PlannerConfig, Rat, RotorScheduler, SynthesisOptions,
     UniformScheduler,
 };
+use bayonet_serve::{parse_json, Json, Request, Service, ServiceOptions, DEFAULT_CACHE_ENTRIES};
 
 fn main() -> ExitCode {
     // When spawned as a `serve --replicas N` shard this process is a
@@ -114,15 +115,12 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "run" => {
             validate_flags(rest, RUN_FLAGS)?;
-            if let Some(grid_file) = flag_value(rest, "--sweep") {
-                if has_flag(rest, "--batch") {
-                    return Err("--batch cannot be combined with --sweep".into());
-                }
-                run_sweep_cmd(&source, grid_file, rest)
-            } else if has_flag(rest, "--batch") {
-                run_batch_cmd(&source, rest)
-            } else {
-                run_queries(&source, rest)
+            let threads = threads_flag(rest)?;
+            match (flag_value(rest, "--sweep"), has_flag(rest, "--batch")) {
+                (Some(_), true) => Err("--batch cannot be combined with --sweep".into()),
+                (Some(grid_file), false) => run_sweep_cmd(&source, grid_file, rest, threads),
+                (None, true) => run_batch_cmd(&source, rest, threads),
+                (None, false) => run_queries(&source, rest, threads),
             }
         }
         "synthesize" => {
@@ -176,29 +174,52 @@ fn has_flag(rest: &[String], name: &str) -> bool {
     rest.iter().any(|a| a == name)
 }
 
+/// `--threads N` for `run`: at least 1, default 1.
+fn threads_flag(rest: &[String]) -> Result<usize, String> {
+    match flag_value(rest, "--threads").map(str::parse::<usize>) {
+        None => Ok(1),
+        Some(Ok(n)) if n >= 1 => Ok(n),
+        Some(Ok(_)) => Err("bad --threads value: must be at least 1".to_string()),
+        Some(Err(e)) => Err(format!("bad --threads value: {e}")),
+    }
+}
+
+/// The repeatable `--bind NAME=VALUE` flags, in order.
+fn bind_flags(rest: &[String]) -> Result<Vec<(&str, &str)>, String> {
+    let mut binds = Vec::new();
+    for (i, arg) in rest.iter().enumerate() {
+        if arg == "--bind" {
+            let spec = rest
+                .get(i + 1)
+                .ok_or_else(|| "--bind needs NAME=VALUE".to_string())?;
+            binds.push(
+                spec.split_once('=')
+                    .ok_or_else(|| format!("malformed --bind `{spec}` (want NAME=VALUE)"))?,
+            );
+        }
+    }
+    Ok(binds)
+}
+
+/// Fails when any of `flags` is set; `mode` names the flag they conflict
+/// with.
+fn reject_flags(rest: &[String], flags: &[&str], mode: &str) -> Result<(), String> {
+    match flags.iter().find(|flag| has_flag(rest, flag)) {
+        Some(flag) => Err(format!("{flag} cannot be combined with {mode}")),
+        None => Ok(()),
+    }
+}
+
 fn load(source: &str, rest: &[String]) -> Result<Network, String> {
     let mut network = Network::from_source(source).map_err(|e| e.to_string())?;
     for w in network.warnings() {
         eprintln!("warning: {}", w.message);
     }
-    // --bind NAME=VALUE (repeatable)
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i] == "--bind" {
-            let spec = rest
-                .get(i + 1)
-                .ok_or_else(|| "--bind needs NAME=VALUE".to_string())?;
-            let (name, value) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("malformed --bind `{spec}` (want NAME=VALUE)"))?;
-            let value: Rat = value
-                .parse()
-                .map_err(|e| format!("bad value in --bind `{spec}`: {e}"))?;
-            network.bind(name, value).map_err(|e| e.to_string())?;
-            i += 2;
-        } else {
-            i += 1;
-        }
+    for (name, value) in bind_flags(rest)? {
+        let value: Rat = value
+            .parse()
+            .map_err(|e| format!("bad value in --bind `{name}={value}`: {e}"))?;
+        network.bind(name, value).map_err(|e| e.to_string())?;
     }
     match flag_value(rest, "--scheduler") {
         Some("uniform") => network.set_scheduler(Box::new(UniformScheduler)),
@@ -231,7 +252,7 @@ fn check(source: &str) -> Result<(), String> {
     }
 }
 
-fn run_queries(source: &str, rest: &[String]) -> Result<(), String> {
+fn run_queries(source: &str, rest: &[String], threads: usize) -> Result<(), String> {
     let mut network = load(source, rest)?;
     let engine_flag = flag_value(rest, "--engine").unwrap_or("exact");
     let want_stats = has_flag(rest, "--stats");
@@ -296,14 +317,6 @@ fn run_queries(source: &str, rest: &[String]) -> Result<(), String> {
         ..Default::default()
     };
 
-    let threads = flag_value(rest, "--threads")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(_) => Err("bad --threads value: must be at least 1".to_string()),
-            Err(e) => Err(format!("bad --threads value: {e}")),
-        })
-        .transpose()?
-        .unwrap_or(1);
     if threads > 1 && engine_flag != "auto" && !matches!(engine, "exact" | "enum") {
         // The diagram backend is single-threaded by design; erroring beats
         // silently ignoring the flag. `auto` is exempt: the planner may
@@ -434,61 +447,23 @@ fn run_queries(source: &str, rest: &[String]) -> Result<(), String> {
 /// server (shared-source compile amortization, pool fan-out, per-item
 /// errors) and the NDJSON frames are printed to stdout sorted by item
 /// index, so output is deterministic and diffable against server runs.
-fn run_batch_cmd(source: &str, rest: &[String]) -> Result<(), String> {
-    for flag in [
-        "--engine",
-        "--particles",
-        "--seed",
-        "--scheduler",
-        "--bind",
-        "--stats",
-        "--explain-plan",
-        "--no-opt",
-        "--explain-passes",
-    ] {
-        if has_flag(rest, flag) {
-            return Err(format!(
-                "{flag} cannot be combined with --batch; set it per item in the batch file"
-            ));
-        }
-    }
-    let threads = flag_value(rest, "--threads")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(_) => Err("bad --threads value: must be at least 1".to_string()),
-            Err(e) => Err(format!("bad --threads value: {e}")),
-        })
-        .transpose()?
-        .unwrap_or(1);
-
-    let service = bayonet_serve::Service::with_options(bayonet_serve::ServiceOptions {
-        cache_entries: bayonet_serve::DEFAULT_CACHE_ENTRIES,
-        pool: (threads > 1).then(|| bayonet::ComputePool::new(threads)),
-        persist: None,
-    })
-    .map_err(|e| format!("cannot build batch service: {e}"))?;
-    let request = bayonet_serve::Request {
-        method: "POST".into(),
-        path: "/v1/batch".into(),
-        headers: Vec::new(),
-        body: source.as_bytes().to_vec(),
-    };
-    let response = service.handle(&request);
-    let body = String::from_utf8_lossy(&response.body).into_owned();
-    if response.status != 200 {
-        return Err(format!("batch rejected ({}): {body}", response.status));
-    }
-    print!("{body}");
-    let failed = body
-        .lines()
-        .filter_map(|line| bayonet_serve::parse_json(line).ok())
-        .filter(|doc| doc.get("status").and_then(|s| s.as_u64()) != Some(200))
-        .count();
-    if failed > 0 {
-        let total = body.lines().count();
-        return Err(format!("{failed} of {total} batch item(s) failed"));
-    }
-    Ok(())
+fn run_batch_cmd(source: &str, rest: &[String], threads: usize) -> Result<(), String> {
+    reject_flags(
+        rest,
+        &[
+            "--engine",
+            "--particles",
+            "--seed",
+            "--scheduler",
+            "--bind",
+            "--stats",
+            "--explain-plan",
+            "--no-opt",
+            "--explain-passes",
+        ],
+        "--batch; set it per item in the batch file",
+    )?;
+    run_frames("batch", "item", source.as_bytes().to_vec(), threads)
 }
 
 /// `bayonet run <file.bay> --sweep <grid.json>`: sweeps the program across
@@ -498,95 +473,83 @@ fn run_batch_cmd(source: &str, rest: &[String]) -> Result<(), String> {
 /// frame per point is printed to stdout in row-major grid order; each
 /// frame's `body` is the answer an independent `run --bind` of that point
 /// would produce.
-fn run_sweep_cmd(source: &str, grid_file: &str, rest: &[String]) -> Result<(), String> {
-    for flag in [
-        "--particles",
-        "--seed",
-        "--scheduler",
-        "--stats",
-        "--explain-plan",
-        "--explain-passes",
-    ] {
-        if has_flag(rest, flag) {
-            return Err(format!("{flag} cannot be combined with --sweep"));
-        }
-    }
+fn run_sweep_cmd(
+    source: &str,
+    grid_file: &str,
+    rest: &[String],
+    threads: usize,
+) -> Result<(), String> {
+    reject_flags(
+        rest,
+        &[
+            "--particles",
+            "--seed",
+            "--scheduler",
+            "--stats",
+            "--explain-plan",
+            "--explain-passes",
+        ],
+        "--sweep",
+    )?;
     let grid_text = std::fs::read_to_string(grid_file)
         .map_err(|e| format!("cannot read sweep grid {grid_file}: {e}"))?;
-    let grid = bayonet_serve::parse_json(&grid_text)
-        .map_err(|e| format!("bad sweep grid {grid_file}: {e}"))?;
-    let threads = flag_value(rest, "--threads")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(_) => Err("bad --threads value: must be at least 1".to_string()),
-            Err(e) => Err(format!("bad --threads value: {e}")),
-        })
-        .transpose()?
-        .unwrap_or(1);
+    let grid = parse_json(&grid_text).map_err(|e| format!("bad sweep grid {grid_file}: {e}"))?;
 
-    let mut fields = vec![
-        ("source", bayonet_serve::Json::Str(source.to_string())),
-        ("sweep", grid),
-    ];
+    let mut fields = vec![("source", Json::Str(source.to_string())), ("sweep", grid)];
     if let Some(engine) = flag_value(rest, "--engine") {
-        fields.push(("engine", bayonet_serve::Json::Str(engine.to_string())));
+        fields.push(("engine", Json::Str(engine.to_string())));
     }
     if has_flag(rest, "--no-opt") {
-        fields.push(("passes", bayonet_serve::Json::Bool(false)));
+        fields.push(("passes", Json::Bool(false)));
     }
-    // --bind NAME=VALUE (repeatable) become the fixed (non-swept) bindings.
-    let mut bindings = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i] == "--bind" {
-            let spec = rest
-                .get(i + 1)
-                .ok_or_else(|| "--bind needs NAME=VALUE".to_string())?;
-            let (name, value) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("malformed --bind `{spec}` (want NAME=VALUE)"))?;
-            bindings.push((
-                name.to_string(),
-                bayonet_serve::Json::Str(value.to_string()),
-            ));
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
+    // --bind NAME=VALUE flags become the fixed (non-swept) bindings.
+    let bindings: Vec<(String, Json)> = bind_flags(rest)?
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), Json::Str(value.to_string())))
+        .collect();
     if !bindings.is_empty() {
-        fields.push(("bindings", bayonet_serve::Json::Obj(bindings)));
+        fields.push(("bindings", Json::Obj(bindings)));
     }
     if threads > 1 {
-        fields.push(("threads", bayonet_serve::Json::Num(threads as f64)));
+        fields.push(("threads", Json::Num(threads as f64)));
     }
+    run_frames(
+        "sweep",
+        "point",
+        Json::obj(fields).to_string().into_bytes(),
+        threads,
+    )
+}
 
-    let service = bayonet_serve::Service::with_options(bayonet_serve::ServiceOptions {
-        cache_entries: bayonet_serve::DEFAULT_CACHE_ENTRIES,
+/// Runs one `/v1/{kind}` request body in process, through the server's own
+/// request pipeline, and prints its NDJSON frames sorted by index. Fails
+/// when the request is rejected or any frame (one per `unit`) failed.
+fn run_frames(kind: &str, unit: &str, body: Vec<u8>, threads: usize) -> Result<(), String> {
+    let service = Service::with_options(ServiceOptions {
+        cache_entries: DEFAULT_CACHE_ENTRIES,
         pool: (threads > 1).then(|| bayonet::ComputePool::new(threads)),
         persist: None,
     })
-    .map_err(|e| format!("cannot build sweep service: {e}"))?;
-    let request = bayonet_serve::Request {
+    .map_err(|e| format!("cannot build {kind} service: {e}"))?;
+    let response = service.handle(&Request {
         method: "POST".into(),
-        path: "/v1/sweep".into(),
+        path: format!("/v1/{kind}"),
         headers: Vec::new(),
-        body: bayonet_serve::Json::obj(fields).to_string().into_bytes(),
-    };
-    let response = service.handle(&request);
-    let body = String::from_utf8_lossy(&response.body).into_owned();
+        body,
+    });
+    let body = String::from_utf8_lossy(&response.body);
     if response.status != 200 {
-        return Err(format!("sweep rejected ({}): {body}", response.status));
+        return Err(format!("{kind} rejected ({}): {body}", response.status));
     }
     print!("{body}");
     let failed = body
         .lines()
-        .filter_map(|line| bayonet_serve::parse_json(line).ok())
-        .filter(|doc| doc.get("status").and_then(|s| s.as_u64()) != Some(200))
+        .filter_map(|line| parse_json(line).ok())
+        .filter(|doc| doc.get("status").and_then(Json::as_u64) != Some(200))
         .count();
     if failed > 0 {
         let total = body.lines().count();
-        return Err(format!("{failed} of {total} sweep point(s) failed"));
+        return Err(format!("{failed} of {total} {kind} {unit}(s) failed"));
     }
     Ok(())
 }

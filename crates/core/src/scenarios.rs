@@ -298,8 +298,17 @@ pub fn reliability_chain(
 /// (Figure 11(c)): node `S0` seeds one packet; every uninfected receiver
 /// becomes infected and emits two packets to uniformly random neighbors;
 /// infected receivers drop.
+///
+/// # Panics
+///
+/// If `n < 2`, or if the query's `n`-term sum would hold more than
+/// [`bayonet_lang::MAX_OPERATORS`] operators and so fail to parse.
 pub fn gossip_source(n: usize, sched: Sched) -> String {
     assert!(n >= 2, "gossip needs at least two nodes");
+    assert!(
+        n <= bayonet_lang::MAX_OPERATORS + 1,
+        "a gossip query over {n} nodes exceeds the parser's operator bound"
+    );
     let nodes: Vec<String> = (0..n).map(|i| format!("S{i}")).collect();
     let mut links = Vec::new();
     for i in 0..n {
@@ -565,4 +574,19 @@ pub fn strategy_posterior(network: &Network) -> Result<[Rat; 3], Error> {
         report.results[1].rat() / &evidence,
         report.results[2].rat() / &evidence,
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The gossip query sums one term per node, so the generator stops
+    /// where that sum would pass the parser's operator bound.
+    #[test]
+    fn gossip_source_parses_up_to_the_operator_bound() {
+        let n = bayonet_lang::MAX_OPERATORS + 1;
+        bayonet_lang::parse(&gossip_source(n, Sched::Uniform)).expect("parses at the bound");
+        let past = std::panic::catch_unwind(|| gossip_source(n + 1, Sched::Uniform));
+        assert!(past.is_err(), "a source past the bound was generated");
+    }
 }

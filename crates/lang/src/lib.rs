@@ -65,5 +65,5 @@ pub use ast::{
 pub use check::{check, const_eval, CheckReport, Warning};
 pub use error::{LangError, Phase};
 pub use lexer::lex;
-pub use parser::{parse, parse_expr};
+pub use parser::{parse, parse_expr, MAX_NESTING, MAX_OPERATORS};
 pub use pretty::{pretty_expr, pretty_program, pretty_stmts};

@@ -35,24 +35,98 @@ use crate::token::{Keyword as Kw, Span, Tok, Token};
 /// ```
 pub fn parse(src: &str) -> Result<Program, LangError> {
     let tokens = lex(src)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser::new(tokens).program()
 }
 
 /// Parses a single expression (useful for tests and query strings).
 pub fn parse_expr(src: &str) -> Result<Expr, LangError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(lex(src)?);
     let e = p.expr()?;
     p.expect(Tok::Eof)?;
     Ok(e)
 }
 
+/// Deepest nesting the parser accepts. Parenthesized and call-argument
+/// expressions, `not` and unary `-` operators, and statement blocks
+/// (`else if` links included) each add a level while they are open. The
+/// parser and every later stage walk these recursively, so the bound keeps
+/// any source, however hostile, from overflowing the stack of the thread
+/// that handles it; past it, parsing fails with an ordinary parse error.
+pub const MAX_NESTING: usize = 64;
+
+/// Most binary operators one complete expression (a statement operand,
+/// initializer, condition or query) may hold, counting those inside its
+/// parentheses. The parser reads operator chains in a loop, but a chain
+/// nests the syntax tree as deeply as it is long and later stages walk the
+/// tree recursively, so chains get this bound of their own. On a 2 MiB
+/// thread, a debug build ran 256 `and`s under 62 nested `if`s through
+/// every engine but SMC, which overflowed; release builds first overflow
+/// between 2,560 and 3,072 operators. The bound is half the smallest chain
+/// that overflowed.
+pub const MAX_OPERATORS: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Binary operators so far in the current expression (see
+    /// [`MAX_OPERATORS`]).
+    operators: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            operators: 0,
+        }
+    }
+
+    /// Enters one more nesting level, failing past [`MAX_NESTING`].
+    fn deepen(&mut self) -> Result<(), LangError> {
+        if self.depth == MAX_NESTING {
+            return Err(LangError::parse(
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                self.span(),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        self.deepen()?;
+        let result = f(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Counts one more binary operator in the current expression, failing
+    /// past [`MAX_OPERATORS`].
+    fn operator(&mut self) -> Result<(), LangError> {
+        if self.operators == MAX_OPERATORS {
+            return Err(LangError::parse(
+                format!("more than {MAX_OPERATORS} binary operators in one expression"),
+                self.span(),
+            ));
+        }
+        self.operators += 1;
+        Ok(())
+    }
+
+    /// An expression inside parentheses or call arguments: one level
+    /// deeper, and its binary operators count for the enclosing expression.
+    fn inner_expr(&mut self) -> Result<Expr, LangError> {
+        self.nested(Parser::or_expr)
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].tok
     }
@@ -427,11 +501,13 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, LangError> {
         self.expect(Tok::LBrace)?;
-        let mut out = Vec::new();
-        while !self.eat(Tok::RBrace) {
-            out.push(self.stmt()?);
-        }
-        Ok(out)
+        self.nested(|p| {
+            let mut out = Vec::new();
+            while !p.eat(Tok::RBrace) {
+                out.push(p.stmt()?);
+            }
+            Ok(out)
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt, LangError> {
@@ -496,7 +572,7 @@ impl Parser {
                 let then_body = self.block()?;
                 let else_body = if self.eat(Tok::Kw(Kw::Else)) {
                     if *self.peek() == Tok::Kw(Kw::If) {
-                        vec![self.stmt()?] // `else if` chain
+                        vec![self.nested(Parser::stmt)?] // `else if` chain
                     } else {
                         self.block()?
                     }
@@ -527,13 +603,16 @@ impl Parser {
 
     // ---- expressions (precedence climbing) ----
 
+    /// A complete expression: a statement operand, query or initializer.
     fn expr(&mut self) -> Result<Expr, LangError> {
+        self.operators = 0;
         self.or_expr()
     }
 
     fn or_expr(&mut self) -> Result<Expr, LangError> {
         let mut lhs = self.and_expr()?;
         while self.eat(Tok::Kw(Kw::Or)) {
+            self.operator()?;
             let rhs = self.and_expr()?;
             lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
         }
@@ -543,6 +622,7 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr, LangError> {
         let mut lhs = self.not_expr()?;
         while self.eat(Tok::Kw(Kw::And)) {
+            self.operator()?;
             let rhs = self.not_expr()?;
             lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
         }
@@ -552,7 +632,7 @@ impl Parser {
     fn not_expr(&mut self) -> Result<Expr, LangError> {
         let span = self.span();
         if self.eat(Tok::Kw(Kw::Not)) {
-            let e = self.not_expr()?;
+            let e = self.nested(Parser::not_expr)?;
             Ok(Expr::Not(Box::new(e), span))
         } else {
             self.cmp_expr()
@@ -571,6 +651,7 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
+        self.operator()?;
         let rhs = self.add_expr()?;
         Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
     }
@@ -584,6 +665,7 @@ impl Parser {
                 _ => return Ok(lhs),
             };
             self.bump();
+            self.operator()?;
             let rhs = self.mul_expr()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
@@ -598,6 +680,7 @@ impl Parser {
                 _ => return Ok(lhs),
             };
             self.bump();
+            self.operator()?;
             let rhs = self.unary_expr()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
@@ -606,7 +689,7 @@ impl Parser {
     fn unary_expr(&mut self) -> Result<Expr, LangError> {
         let span = self.span();
         if self.eat(Tok::Minus) {
-            let e = self.unary_expr()?;
+            let e = self.nested(Parser::unary_expr)?;
             Ok(Expr::Neg(Box::new(e), span))
         } else {
             self.primary()
@@ -625,23 +708,23 @@ impl Parser {
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.inner_expr()?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
             Tok::Kw(Kw::Flip) => {
                 self.bump();
                 self.expect(Tok::LParen)?;
-                let p = self.expr()?;
+                let p = self.inner_expr()?;
                 self.expect(Tok::RParen)?;
                 Ok(Expr::Flip(Box::new(p), span))
             }
             Tok::Kw(Kw::UniformInt) => {
                 self.bump();
                 self.expect(Tok::LParen)?;
-                let lo = self.expr()?;
+                let lo = self.inner_expr()?;
                 self.expect(Tok::Comma)?;
-                let hi = self.expr()?;
+                let hi = self.inner_expr()?;
                 self.expect(Tok::RParen)?;
                 Ok(Expr::UniformInt(Box::new(lo), Box::new(hi), span))
             }
@@ -880,5 +963,77 @@ mod tests {
         let p = parse(src).unwrap();
         assert!(!p.defs[0].has_params);
         assert_eq!(p.defs[0].state.len(), 1);
+    }
+
+    /// Asserts that `construct` repeated `bound` times parses and once more
+    /// is a parse error with `message`.
+    fn assert_bound(
+        construct: &str,
+        bound: usize,
+        message: &str,
+        parse_at: impl Fn(usize) -> Result<(), LangError>,
+    ) {
+        parse_at(bound).unwrap_or_else(|e| panic!("{construct} at the bound: {e}"));
+        let err = parse_at(bound + 1).expect_err(construct);
+        assert_eq!(err.phase(), crate::Phase::Parse, "{construct}: {err}");
+        assert!(err.to_string().contains(message), "{construct}: {err}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_for_every_recursive_construct() {
+        let nesting = format!("nesting deeper than {MAX_NESTING} levels");
+        let bound = |construct: &str, parse_at: &dyn Fn(usize) -> Result<(), LangError>| {
+            assert_bound(construct, MAX_NESTING, &nesting, parse_at)
+        };
+        let expr = |src: String| parse_expr(&src).map(drop);
+        bound("(", &|n| {
+            expr(format!("{}x{}", "(".repeat(n), ")".repeat(n)))
+        });
+        bound("not", &|n| expr(format!("{}x", "not ".repeat(n))));
+        bound("unary -", &|n| expr(format!("{}x", "-".repeat(n))));
+        // The handler body is the first level, each `if` block one more.
+        bound("if", &|n| {
+            let body = format!("{}drop;{}", "if x { ".repeat(n - 1), " }".repeat(n - 1));
+            parse(&format!(
+                "topology {{ nodes {{ A, B }} links {{ (A, pt1) <-> (B, pt1) }} }}
+                 programs {{ A -> a, B -> a }}
+                 query probability(1 == 1);
+                 def a(pkt, pt) {{ {body} }}"
+            ))
+            .map(drop)
+        });
+    }
+
+    #[test]
+    fn binary_operators_per_expression_are_bounded() {
+        let operators = format!("more than {MAX_OPERATORS} binary operators");
+        let expr = |src: String| parse_expr(&src).map(drop);
+        let chain = |n: usize, op: &str| vec!["x"; n + 1].join(op);
+        for op in [" + ", " * ", " and ", " or "] {
+            assert_bound(op, MAX_OPERATORS, &operators, |n| expr(chain(n, op)));
+        }
+        // Operators inside parentheses count for the enclosing expression.
+        assert_bound("(+) +", MAX_OPERATORS, &operators, |n| {
+            expr(format!("({}) + x", chain(n - 1, " + ")))
+        });
+        // Each statement is an expression of its own.
+        let body = format!(
+            "x = {}; x = {};",
+            chain(MAX_OPERATORS, " + "),
+            chain(MAX_OPERATORS, " - ")
+        );
+        parse(&format!(
+            "topology {{ nodes {{ A, B }} links {{ (A, pt1) <-> (B, pt1) }} }}
+             programs {{ A -> a, B -> a }}
+             query probability(1 == 1);
+             def a(pkt, pt) state x(0) {{ {body} drop; }}"
+        ))
+        .unwrap_or_else(|e| panic!("two chains at the bound: {e}"));
+    }
+
+    #[test]
+    fn a_body_of_open_parens_is_a_parse_error_not_a_stack_overflow() {
+        let err = parse_expr(&"(".repeat(1 << 16)).expect_err("unbalanced");
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
     }
 }

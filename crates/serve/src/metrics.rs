@@ -126,6 +126,8 @@ pub struct Metrics {
     /// Connections answered `503` by the loop itself (job queue full or
     /// connection cap reached) before any worker was involved.
     http_conn_shed: AtomicU64,
+    /// Worker panics caught by the server's per-request guard.
+    worker_panics: AtomicU64,
     /// Shared compute pool whose occupancy/steal gauges are exported; bound
     /// once at service construction when parallel expansion is enabled.
     pool: Mutex<Option<ComputePool>>,
@@ -315,6 +317,11 @@ impl Metrics {
         self.http_conn_shed.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a panic caught while a worker served one request.
+    pub fn record_worker_panic(&self) {
+        self.worker_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one request proxied to replica `index` (router mode).
     pub fn record_routed(&self, index: usize) {
         let mut inner = self.inner.lock().expect("metrics mutex");
@@ -430,6 +437,16 @@ impl Metrics {
             out,
             "bayonet_http_conn_shed_total {}",
             self.http_conn_shed.load(Ordering::Relaxed)
+        );
+        out.push_str(
+            "# HELP bayonet_worker_panics_total Requests whose worker panicked; \
+             the worker survives.\n",
+        );
+        out.push_str("# TYPE bayonet_worker_panics_total counter\n");
+        let _ = writeln!(
+            out,
+            "bayonet_worker_panics_total {}",
+            self.worker_panics.load(Ordering::Relaxed)
         );
 
         if !inner.router_routed.is_empty() {

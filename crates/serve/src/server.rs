@@ -15,8 +15,9 @@
 //! proxies requests to them by a consistent hash of the canonical
 //! program (see the [`crate::router`] module docs).
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,6 +28,7 @@ use bayonet_exact::ComputePool;
 use crossbeam::channel;
 
 use crate::evloop::{loop_shared, EventLoop, Job, LoopConfig, LoopShared};
+use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::persist::{PersistConfig, DEFAULT_CACHE_MAX_BYTES};
 use crate::router::{spawn_replicas, Replica, RouterCore};
@@ -192,18 +194,7 @@ fn start_serve(config: ServerConfig) -> io::Result<ServerHandle> {
         workers.push(std::thread::spawn(move || {
             while let Ok(mut job) = rx.recv() {
                 service.metrics().queue_depth_add(-1);
-                if job.request.method == "POST" && job.request.path == "/v1/batch" {
-                    // Batch results stream back through the loop as chunked
-                    // NDJSON; a closed connection fails the writes, which
-                    // is what cancels the remaining items.
-                    let _ = service.handle_batch(&job.request, &mut job.out);
-                } else if job.request.method == "POST" && job.request.path == "/v1/sweep" {
-                    // Sweep grid points stream back the same way.
-                    let _ = service.handle_sweep(&job.request, &mut job.out);
-                } else {
-                    let response = service.handle(&job.request);
-                    let _ = response.write_to(&mut job.out);
-                }
+                serve_guarded(&service, &job.request, &mut job.out);
                 job.out.finish();
             }
         }));
@@ -236,6 +227,54 @@ fn start_serve(config: ServerConfig) -> io::Result<ServerHandle> {
         workers,
         replicas: Vec::new(),
     })
+}
+
+/// Runs [`Service::serve`] for one job and contains any panic — a batch
+/// lane's included, which resurfaces here when its scope joins — so the
+/// worker survives. A panic before any byte went out is answered with a
+/// structured `500`; one mid-stream leaves the body torn, and finishing the
+/// job closes the connection. Either way `bayonet_worker_panics_total`
+/// counts it.
+fn serve_guarded(service: &Service, request: &Request, out: &mut (impl Write + Send)) {
+    let mut out = Tracked {
+        out,
+        written: false,
+    };
+    let served = panic::catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        if request
+            .headers
+            .iter()
+            .any(|(name, _)| name == tests::PANIC_HEADER)
+        {
+            panic!("injected worker panic");
+        }
+        service.serve(request, &mut out)
+    }));
+    if served.is_err() {
+        service.metrics().record_worker_panic();
+        if !out.written {
+            let body = r#"{"ok":false,"error":{"kind":"internal","message":"internal error while serving the request"}}"#;
+            let _ = Response::json(500, body).write_to(&mut out);
+        }
+    }
+}
+
+/// A writer that remembers whether anything went through it.
+struct Tracked<'a, W: Write> {
+    out: &'a mut W,
+    written: bool,
+}
+
+impl<W: Write> Write for Tracked<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.written |= !buf.is_empty();
+        self.out.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
 }
 
 /// Router mode: replica fleet + proxying event loop, no local inference.
@@ -280,4 +319,60 @@ fn start_router(config: ServerConfig) -> io::Result<ServerHandle> {
         workers: Vec::new(),
         replicas,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Read;
+    use std::net::TcpStream;
+
+    use super::*;
+
+    /// A request carrying this header panics its worker (test builds only).
+    pub(super) const PANIC_HEADER: &str = "x-test-panic";
+
+    fn exchange(addr: SocketAddr, request: &str) -> String {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        // A worker lost to a panic would leave the reply hanging forever.
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.write_all(request.as_bytes()).expect("write request");
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).expect("read reply");
+        reply
+    }
+
+    #[test]
+    fn a_panicking_request_gets_a_500_and_the_worker_survives() {
+        let handle = start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 1,
+            ..ServerConfig::default()
+        })
+        .expect("start server");
+        let addr = handle.addr();
+        let run = |extra_header: &str| {
+            let body = r#"{"source":"packet_fields { dst } topology { nodes { A, B } links { (A, pt1) <-> (B, pt1) } } programs { A -> send, B -> recv } init { packet -> (A, pt1); } query probability(got@B == 1); def send(pkt, pt) { if flip(1/3) { fwd(1); } else { drop; } } def recv(pkt, pt) state got(0) { got = 1; drop; }"}"#;
+            format!(
+                "POST /v1/run HTTP/1.1\r\nHost: t\r\n{extra_header}Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+        };
+
+        let reply = exchange(addr, &run("X-Test-Panic: 1\r\n"));
+        assert!(reply.starts_with("HTTP/1.1 500"), "{reply}");
+        assert!(reply.contains(r#""kind":"internal""#), "{reply}");
+        // The only worker survived the panic and keeps serving.
+        let reply = exchange(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        let reply = exchange(addr, &run(""));
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        assert!(reply.contains("1/3"), "{reply}");
+        let metrics = handle.metrics().render();
+        assert!(
+            metrics.contains("bayonet_worker_panics_total 1"),
+            "{metrics}"
+        );
+        handle.shutdown();
+    }
 }

@@ -1,10 +1,30 @@
 //! Request routing and inference execution.
 //!
 //! The [`Service`] is the transport-independent core of the server: it maps
-//! one parsed HTTP [`Request`] to a [`Response`], running the same
+//! one parsed HTTP [`Request`] to its answer, running the same
 //! parse → check → compile → infer pipeline as the `bayonet` CLI. Exact
 //! results carry a `text` field rendered **byte-for-byte identically** to
 //! `bayonet run` stdout, so clients (and tests) can diff the two directly.
+//!
+//! Every inference endpoint runs through one pipeline:
+//!
+//! 1. **decode** the body, validating every field with the shared field
+//!    decoders;
+//! 2. **prepare** each distinct canonical source once: parse, pretty-print
+//!    and check it; its compiled and optimized models are built lazily,
+//!    once, when the first item needs them;
+//! 3. **route** `"engine": "auto"` through the cost model, against the
+//!    optimized model with the item's bindings applied;
+//! 4. **look up** the result cache;
+//! 5. **execute** the engine, caching successes;
+//! 6. **frame** the answer: one JSON response, or one NDJSON frame per
+//!    batch item or sweep point.
+//!
+//! `/v1/check`, `/v1/run` and `/v1/synthesize` are one-item jobs, a batch
+//! runs stages 3–5 per item over its shared prepared sources, and a sweep
+//! hands one prepared source to [`bayonet_exact::sweep`]. Frames go to a
+//! sink: [`Service::handle`] buffers them sorted by index, and the HTTP
+//! workers stream them as chunked NDJSON as they complete.
 //!
 //! Successful inference responses are cached in an LRU keyed by a hash of
 //! the canonically pretty-printed program, the engine, the query selection,
@@ -20,8 +40,8 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use bayonet_approx::{rejection, smc, ApproxError, ApproxOptions, Estimate};
@@ -32,7 +52,7 @@ use bayonet_exact::{
 };
 use bayonet_lang::{check, parse, pretty_program, Program};
 use bayonet_net::opt::optimize;
-use bayonet_net::{compile, scheduler_for, Deadline, Model, Scheduler};
+use bayonet_net::{compile, scheduler_for, Deadline, Model};
 use bayonet_num::Rat;
 
 use crate::cache::LruCache;
@@ -62,6 +82,21 @@ pub const MAX_REQUEST_THREADS: u64 = 64;
 /// omitting the field.
 pub const MAX_TIMEOUT_MS: u64 = 600_000;
 
+/// Optimized models kept across requests (see [`Service::exact_model`]):
+/// twice the seven distinct programs of the largest measured working set.
+const OPTIMIZED_MODELS: usize = 16;
+
+/// Largest canonical program whose optimized model is kept across
+/// requests, so the kept models stay small however big the bodies are.
+const OPTIMIZED_SOURCE_BYTES: usize = 16 * 1024;
+
+const NDJSON: &str = "application/x-ndjson";
+
+/// Receives each batch item's or sweep point's answer with its index,
+/// possibly from several lanes at once; returns `false` once the client is
+/// gone.
+type Emit<'a> = &'a (dyn Fn(usize, &Response) -> bool + Sync);
+
 /// Everything [`Service::with_options`] needs to build a service.
 #[derive(Default)]
 pub struct ServiceOptions {
@@ -80,6 +115,8 @@ pub struct ServiceOptions {
 pub struct Service {
     metrics: Arc<Metrics>,
     cache: Arc<Mutex<LruCache<u64, Response>>>,
+    /// Optimized models of recently run programs, by canonical program.
+    optimized: Mutex<LruCache<String, Arc<Model>>>,
     /// Shared compute pool for parallel exact expansion; `None` keeps every
     /// request single-threaded regardless of its `threads` hint.
     pool: Option<ComputePool>,
@@ -160,28 +197,10 @@ impl Service {
         Ok(Service {
             metrics,
             cache,
+            optimized: Mutex::new(LruCache::new(OPTIMIZED_MODELS)),
             pool: opts.pool,
             persist,
         })
-    }
-
-    /// Exact-engine options for one request: the per-request `threads` hint
-    /// (clamped to the pool capacity) plus the shared pool handle. The
-    /// deadline is passed in rather than read off the request so batch
-    /// items can substitute their batch-clamped deadline.
-    fn exact_options(&self, req: &InferenceRequest, deadline: Deadline) -> ExactOptions {
-        let requested = req.threads.unwrap_or(1);
-        let threads = match &self.pool {
-            Some(pool) => requested.min(pool.capacity()),
-            None => 1,
-        };
-        ExactOptions {
-            deadline,
-            threads,
-            pool: self.pool.clone(),
-            passes: req.passes,
-            ..ExactOptions::default()
-        }
     }
 
     /// The shared metrics registry.
@@ -189,180 +208,297 @@ impl Service {
         Arc::clone(&self.metrics)
     }
 
-    /// Handles one request, recording request metrics.
+    /// Handles one request and returns its whole answer, recording request
+    /// metrics. Batch and sweep frames are buffered and sorted by index, so
+    /// in-process callers (the CLI's `run --batch` and `run --sweep`,
+    /// tests) get deterministic output.
     pub fn handle(&self, req: &Request) -> Response {
-        let started = Instant::now();
-        let endpoint = normalize_endpoint(&req.path);
-        let response = self.route(req);
-        self.metrics
-            .record_request(endpoint, response.status, started.elapsed());
-        response
+        let frames = Mutex::new(Vec::new());
+        let answer = self.respond(req, &|index, resp| {
+            let frame = ndjson_frame(index, resp);
+            frames.lock().expect("frames mutex").push((index, frame));
+            true
+        });
+        answer.unwrap_or_else(|| {
+            let mut frames = frames.into_inner().expect("frames mutex");
+            frames.sort_by_key(|(index, _)| *index);
+            Response {
+                status: 200,
+                headers: Vec::new(),
+                content_type: NDJSON,
+                body: frames
+                    .into_iter()
+                    .map(|(_, frame)| frame)
+                    .collect::<Vec<_>>()
+                    .concat(),
+            }
+        })
     }
 
-    fn route(&self, req: &Request) -> Response {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz") => Response::json(200, r#"{"status":"ok"}"#),
-            ("GET", "/metrics") => Response::text(200, self.metrics.render())
-                .with_content_type("text/plain; version=0.0.4; charset=utf-8"),
-            ("POST", "/v1/check") | ("POST", "/v1/run") | ("POST", "/v1/synthesize") => {
-                match self.inference(req) {
-                    Ok(resp) => resp,
-                    Err(e) => e.into_response(),
-                }
+    /// Answers one request on `out`: the HTTP workers' single entry point.
+    /// Batch and sweep frames stream as chunked NDJSON in completion order.
+    /// The chunked head goes out with the first frame, so a request that
+    /// fails before producing one gets an ordinary buffered error response.
+    /// When a frame cannot be written (the client disconnected), the rest
+    /// of a batch is cancelled instead of burning engine time on frames
+    /// nobody will read.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport errors, including the client disconnecting
+    /// mid-stream.
+    pub(crate) fn serve<W: Write + Send>(&self, req: &Request, out: &mut W) -> io::Result<()> {
+        enum Stream<'a, W: Write> {
+            Idle(&'a mut W),
+            Open(ChunkedWriter<'a, W>),
+            Broken,
+        }
+        let stream = Mutex::new(Stream::Idle(out));
+        let answer = self.respond(req, &|index, resp| {
+            let mut stream = stream.lock().expect("stream mutex");
+            let mut writer = match std::mem::replace(&mut *stream, Stream::Broken) {
+                Stream::Idle(out) => match ChunkedWriter::begin(out, 200, NDJSON) {
+                    Ok(writer) => writer,
+                    Err(_) => return false,
+                },
+                Stream::Open(writer) => writer,
+                Stream::Broken => return false,
+            };
+            let written = writer.chunk(&ndjson_frame(index, resp)).is_ok();
+            if written {
+                *stream = Stream::Open(writer);
             }
-            ("POST", "/v1/batch") => self.batch_endpoint(req),
-            ("POST", "/v1/sweep") => self.sweep_endpoint(req),
-            ("GET", "/v1/check" | "/v1/run" | "/v1/synthesize" | "/v1/batch" | "/v1/sweep")
-            | ("POST", "/healthz" | "/metrics") => ApiError {
-                status: 405,
-                kind: "method_not_allowed",
-                message: format!("{} does not support {}", req.path, req.method),
-                field: None,
-            }
-            .into_response(),
-            _ => ApiError {
-                status: 404,
-                kind: "not_found",
-                message: format!("no such endpoint: {}", req.path),
-                field: None,
-            }
-            .into_response(),
+            written
+        });
+        match (answer, stream.into_inner().expect("stream mutex")) {
+            (Some(resp), Stream::Idle(out)) => resp.write_to(out),
+            (None, Stream::Idle(out)) => ChunkedWriter::begin(out, 200, NDJSON)?.finish(),
+            (None, Stream::Open(writer)) => writer.finish(),
+            _ => Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "client disconnected mid-stream",
+            )),
         }
     }
 
-    fn inference(&self, req: &Request) -> Result<Response, ApiError> {
-        let mut parsed = InferenceRequest::from_http(req)?;
+    /// Answers one request and records its request metrics: `Some` plain
+    /// response, or `None` once the answer went to `emit` as frames.
+    fn respond(&self, req: &Request, emit: Emit<'_>) -> Option<Response> {
+        let started = Instant::now();
+        let answer = self
+            .route(req, emit)
+            .unwrap_or_else(|e| Some(e.into_response()));
+        let status = answer.as_ref().map_or(200, |resp| resp.status);
+        self.metrics
+            .record_request(normalize_endpoint(&req.path), status, started.elapsed());
+        answer
+    }
 
-        // Canonical cache key: pretty-printed program, not raw source, so
-        // formatting differences still hit.
-        let program = parse(&parsed.source).map_err(|e| ApiError {
-            status: 422,
-            kind: "parse_error",
-            message: e.to_string(),
-            field: None,
-        })?;
-        let canonical = pretty_program(&program);
+    fn route(&self, req: &Request, emit: Emit<'_>) -> Result<Option<Response>, ApiError> {
+        let endpoint = match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => return Ok(Some(Response::json(200, r#"{"status":"ok"}"#))),
+            ("GET", "/metrics") => {
+                return Ok(Some(
+                    Response::text(200, self.metrics.render())
+                        .with_content_type("text/plain; version=0.0.4; charset=utf-8"),
+                ))
+            }
+            ("POST", path @ ("/v1/check" | "/v1/run" | "/v1/synthesize")) => path,
+            ("POST", "/v1/batch") => return self.batch(request_doc(req)?, emit).map(|()| None),
+            ("POST", "/v1/sweep") => return self.sweep(request_doc(req)?, emit).map(|()| None),
+            ("GET", "/v1/check" | "/v1/run" | "/v1/synthesize" | "/v1/batch" | "/v1/sweep")
+            | ("POST", "/healthz" | "/metrics") => {
+                return Err(ApiError::new(
+                    405,
+                    "method_not_allowed",
+                    format!("{} does not support {}", req.path, req.method),
+                ))
+            }
+            _ => {
+                return Err(ApiError::new(
+                    404,
+                    "not_found",
+                    format!("no such endpoint: {}", req.path),
+                ))
+            }
+        };
+        // A single request is a one-item job.
+        let item = InferenceRequest::decode(&request_doc(req)?, None)?;
+        let source = prepare(&item.source, &mut HashMap::new())?;
+        self.item(endpoint, item, &source, &Deadline::unlimited())
+            .map(Some)
+    }
 
+    /// Stages 3–5 for one item of `endpoint` over its prepared `source`.
+    /// `outer` is the enclosing batch's deadline (unlimited for a single
+    /// request).
+    fn item(
+        &self,
+        endpoint: &str,
+        mut item: InferenceRequest,
+        source: &Source,
+        outer: &Deadline,
+    ) -> Result<Response, ApiError> {
         // `"engine": "auto"` resolves to a concrete engine *before* the
         // cache key is computed, so a planner-routed result and the same
         // request with the chosen engine spelled out share one cache entry
         // — and an infeasible deadline is rejected before any engine work.
-        let mut prebuilt: Option<(Model, Box<dyn Scheduler>)> = None;
-        let mut plan: Option<Plan> = None;
-        if parsed.engine == Engine::Auto {
-            if req.path == "/v1/run" {
-                let (model, scheduler) = parsed.build_model(&program)?;
-                // Plan against the optimized model: the cost model reads
-                // the cached pass facts and symmetry signals. The optimized
-                // model is kept only for exact routes — sampling engines
-                // run the original (see `run_engine`).
-                let optimized = parsed.passes.then(|| optimize(&model));
-                let budget = parsed.timeout_ms.map(Duration::from_millis);
-                match self.plan_auto(&mut parsed, optimized.as_ref().unwrap_or(&model), budget) {
-                    Ok(p) => plan = Some(p),
+        // Each item plans on its own bindings and budget, against the
+        // optimized model, whose cached pass facts and symmetry signals
+        // the cost model reads.
+        let mut routed = None;
+        if item.engine == Engine::Auto {
+            if endpoint == "/v1/run" {
+                let model = bind(self.exact_model(source, item.passes)?, &item.bindings)?;
+                let budget = plan_budget(outer, item.timeout_ms);
+                match self.plan_auto(&mut item, &model, budget) {
+                    Ok(plan) => routed = Some((model, plan)),
                     Err(rejection) => return Ok(rejection),
                 }
-                let exact_route = matches!(parsed.engine, Engine::Exact | Engine::Bdd);
-                let chosen = match (optimized, exact_route) {
-                    (Some(opt), true) => opt,
-                    _ => model,
-                };
-                prebuilt = Some((chosen, scheduler));
             } else {
                 // `/v1/check` never runs an engine and `/v1/synthesize`
                 // always runs the exact enumeration core, so auto resolves
                 // to the same key the default request would use.
-                parsed.engine = Engine::Exact;
+                item.engine = Engine::Exact;
             }
         }
-        let key = parsed.cache_key(&req.path, &canonical);
 
-        if let Some(hit) = self.cache.lock().expect("cache mutex").get(&key).cloned() {
-            self.metrics.record_cache(true);
+        let key = item.cache_key(endpoint, &source.canonical);
+        if let Some(hit) = self.lookup(&[key]).and_then(|mut hits| hits.pop()) {
             return Ok(hit);
         }
-        self.metrics.record_cache(false);
-
-        let response = match req.path.as_str() {
-            "/v1/check" => self.check_endpoint(&program)?,
-            "/v1/run" => self.run_endpoint(&parsed, &program, prebuilt, plan.as_ref())?,
-            "/v1/synthesize" => self.synthesize_endpoint(&parsed, &program)?,
-            _ => unreachable!("routed"),
-        };
-        if response.status == 200 {
-            let evictions = {
-                let mut cache = self.cache.lock().expect("cache mutex");
-                cache.insert(key, response.clone());
-                cache.evictions()
-            };
-            self.metrics.set_cache_evictions(evictions);
-            if let Some(store) = &self.persist {
-                store.append(key, response.body.clone());
-            }
+        if outer.expired() {
+            return Err(ApiError::new(
+                504,
+                "timeout",
+                "batch budget exhausted before this item started",
+            ));
         }
+
+        let deadline = item_deadline(outer, item.timeout_ms);
+        let response = match endpoint {
+            "/v1/check" => check_response(&source.check),
+            "/v1/synthesize" => {
+                let model = bind(self.exact_model(source, item.passes)?, &item.bindings)?;
+                self.synthesize(&item, &model, deadline)?
+            }
+            _ => {
+                // Exact engines run the optimized model; sampling engines
+                // run the original, because pass rewrites change the draw
+                // sequence for a fixed seed.
+                let exact = matches!(item.engine, Engine::Exact | Engine::Bdd);
+                let (model, plan) = match routed {
+                    Some((model, plan)) if exact => (model, Some(plan)),
+                    routed => {
+                        let template = if exact {
+                            self.exact_model(source, item.passes)?
+                        } else {
+                            source.model()?
+                        };
+                        (
+                            bind(template, &item.bindings)?,
+                            routed.map(|(_, plan)| plan),
+                        )
+                    }
+                };
+                self.run(&item, &model, deadline, plan.as_ref())?
+            }
+        };
+        self.store(key, &response);
         Ok(response)
     }
 
-    fn check_endpoint(&self, program: &Program) -> Result<Response, ApiError> {
-        match check(program) {
-            Ok(report) => {
-                let mut text = String::new();
-                for w in &report.warnings {
-                    let _ = writeln!(text, "warning: {}", w.message);
-                }
-                let _ = writeln!(text, "ok: {} warning(s)", report.warnings.len());
-                let warnings = report
-                    .warnings
-                    .iter()
-                    .map(|w| Json::Str(w.message.clone()))
-                    .collect();
-                Ok(Response::json(
-                    200,
-                    Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("warnings", Json::Arr(warnings)),
-                        ("text", Json::Str(text)),
-                    ])
-                    .to_string(),
-                ))
+    /// The model exact engines run: the source's compiled model, or — unless
+    /// the request opted out of the passes — its optimized model, built the
+    /// first time an item needs it. Passes never fold parameters, so one
+    /// optimized model serves every item and binding. Programs up to
+    /// [`OPTIMIZED_SOURCE_BYTES`] keep theirs for later requests too, since
+    /// `auto` items are planned on it even when their answer is cached.
+    fn exact_model<'s>(&self, source: &'s Source, passes: bool) -> Result<&'s Model, ApiError> {
+        let model = source.model()?;
+        if !passes {
+            return Ok(model);
+        }
+        Ok(source.optimized.get_or_init(|| {
+            let keep = source.canonical.len() <= OPTIMIZED_SOURCE_BYTES;
+            let kept = &self.optimized;
+            let hit = if keep {
+                kept.lock()
+                    .expect("kept mutex")
+                    .get(&source.canonical)
+                    .cloned()
+            } else {
+                None
+            };
+            if let Some(optimized) = hit {
+                return optimized;
             }
-            Err(errors) => {
-                let details = errors.iter().map(|e| Json::Str(e.to_string())).collect();
-                Ok(Response::json(
-                    422,
-                    Json::obj(vec![
-                        ("ok", Json::Bool(false)),
-                        (
-                            "error",
-                            Json::obj(vec![
-                                ("kind", Json::Str("check_error".into())),
-                                (
-                                    "message",
-                                    Json::Str(format!("{} integrity error(s)", errors.len())),
-                                ),
-                                ("details", Json::Arr(details)),
-                            ]),
-                        ),
-                    ])
-                    .to_string(),
-                ))
+            let optimized = Arc::new(optimize(model));
+            let r = &optimized
+                .opt_info()
+                .expect("optimize attaches its report")
+                .report;
+            self.metrics
+                .record_opt(r.pass_runs, r.flips_eliminated, r.guards_folded);
+            if keep {
+                kept.lock()
+                    .expect("kept mutex")
+                    .insert(source.canonical.clone(), Arc::clone(&optimized));
             }
+            optimized
+        }))
+    }
+
+    /// Stage 4: the cached answers for `keys`, only if every one is cached.
+    /// The lookup counts as one cache hit or miss either way.
+    fn lookup(&self, keys: &[u64]) -> Option<Vec<Response>> {
+        let hits: Option<Vec<Response>> = {
+            let mut cache = self.cache.lock().expect("cache mutex");
+            keys.iter().map(|key| cache.get(key).cloned()).collect()
+        };
+        self.metrics.record_cache(hits.is_some());
+        hits
+    }
+
+    /// Caches a successful answer under `key` and appends it to the
+    /// persistent segment; error answers are never cached.
+    fn store(&self, key: u64, resp: &Response) {
+        if resp.status != 200 {
+            return;
+        }
+        let evictions = {
+            let mut cache = self.cache.lock().expect("cache mutex");
+            cache.insert(key, resp.clone());
+            cache.evictions()
+        };
+        self.metrics.set_cache_evictions(evictions);
+        if let Some(store) = &self.persist {
+            store.append(key, resp.body.clone());
         }
     }
 
-    fn run_endpoint(
+    /// Exact-engine options for one request — its `threads` hint clamped to
+    /// the pool capacity, plus the shared pool — with a fresh per-request
+    /// feasibility memo table, returned for [`Metrics::record_feasibility`].
+    fn exact_options(
         &self,
-        req: &InferenceRequest,
-        program: &Program,
-        prebuilt: Option<(Model, Box<dyn Scheduler>)>,
-        plan: Option<&Plan>,
-    ) -> Result<Response, ApiError> {
-        let (model, scheduler) = match prebuilt {
-            // Auto routing already compiled the model to plan against.
-            Some(built) => built,
-            None => req.build_model(program)?,
+        threads: Option<usize>,
+        passes: bool,
+        deadline: Deadline,
+    ) -> (ExactOptions, Arc<FeasibilityCache>) {
+        let feasibility = Arc::new(FeasibilityCache::new());
+        let opts = ExactOptions {
+            deadline,
+            threads: self
+                .pool
+                .as_ref()
+                .map_or(1, |pool| threads.unwrap_or(1).min(pool.capacity())),
+            pool: self.pool.clone(),
+            passes,
+            feasibility_cache: Some(Arc::clone(&feasibility)),
+            ..ExactOptions::default()
         };
-        self.run_with_model(req, &model, &*scheduler, req.deadline(), plan)
+        (opts, feasibility)
     }
 
     /// Routes a request whose `engine` is `auto` through the static cost
@@ -401,78 +537,35 @@ impl Service {
         }
     }
 
-    /// Runs the `/v1/run` engine dispatch against an already compiled
-    /// model. The batch endpoint calls this directly with a clone of a
-    /// shared compiled model and a batch-clamped deadline. With `plan` set
-    /// (planner-routed requests) the run is timed and the actual/predicted
-    /// cost ratio folded into `bayonet_planner_cost_ratio`.
-    fn run_with_model(
+    /// Runs the `/v1/run` engine dispatch against a compiled model with
+    /// the request's bindings applied. With `plan` set (planner-routed
+    /// requests) a successful run is timed and the actual/predicted cost
+    /// ratio folded into `bayonet_planner_cost_ratio`.
+    fn run(
         &self,
         req: &InferenceRequest,
         model: &Model,
-        scheduler: &dyn Scheduler,
         deadline: Deadline,
         plan: Option<&Plan>,
     ) -> Result<Response, ApiError> {
         let started = Instant::now();
-        let result = self.run_engine(req, model, scheduler, deadline);
-        if let Some(plan) = plan {
-            if matches!(&result, Ok(resp) if resp.status == 200) {
-                let actual_ns = started.elapsed().as_nanos() as f64;
-                self.metrics
-                    .record_planner_ratio(actual_ns / plan.est_cost_ns.max(1) as f64);
-            }
-        }
-        result
-    }
-
-    fn run_engine(
-        &self,
-        req: &InferenceRequest,
-        model: &Model,
-        scheduler: &dyn Scheduler,
-        deadline: Deadline,
-    ) -> Result<Response, ApiError> {
-        match req.engine {
+        let scheduler = scheduler_for(model);
+        let response = match req.engine {
             Engine::Exact | Engine::Bdd => {
-                // The exact family runs the optimized model unless the
-                // request opted out; sampling engines stay unoptimized
-                // because pass rewrites change the draw sequence for a
-                // fixed seed. Auto-routed requests arrive pre-optimized —
-                // `opt_info` makes this idempotent.
-                let optimized;
-                let model = if req.passes && model.opt_info().is_none() {
-                    optimized = optimize(model);
-                    &optimized
-                } else {
-                    model
-                };
-                if req.passes {
-                    if let Some(info) = model.opt_info() {
-                        let r = &info.report;
-                        self.metrics
-                            .record_opt(r.pass_runs, r.flips_eliminated, r.guards_folded);
-                    }
-                }
-                // Per-request feasibility memo table, shared between the
-                // analysis and every query answer; its totals feed the
-                // metrics aggregates once, below.
-                let cache = Arc::new(FeasibilityCache::new());
-                let mut opts = self.exact_options(req, deadline);
+                let (mut opts, feasibility) = self.exact_options(req.threads, req.passes, deadline);
                 if req.engine == Engine::Bdd {
                     opts.engine = EngineKind::Bdd;
                 }
-                opts.feasibility_cache = Some(Arc::clone(&cache));
-                let analysis = analyze(model, scheduler, &opts).map_err(exact_error)?;
+                let analysis = analyze(model, &*scheduler, &opts).map_err(|e| exact_error(&e))?;
                 self.metrics.record_engine(&analysis.stats);
                 let mut results: Vec<QueryResult> = Vec::with_capacity(model.queries.len());
                 for q in &model.queries {
                     results.push(
-                        answer_cached(model, &analysis, q, opts.fm_pruning, Some(&cache))
-                            .map_err(exact_error)?,
+                        answer_cached(model, &analysis, q, opts.fm_pruning, Some(&feasibility))
+                            .map_err(|e| exact_error(&e))?,
                     );
                 }
-                let (feas_hits, feas_misses) = cache.counts();
+                let (feas_hits, feas_misses) = feasibility.counts();
                 self.metrics.record_feasibility(feas_hits, feas_misses);
                 let z = analysis.total_terminal_mass();
                 let discarded = analysis.total_discarded_mass();
@@ -484,44 +577,33 @@ impl Service {
                     let _ = write!(text, "{result}");
                 }
                 let _ = writeln!(text, "Z = {z} (discarded by observations: {discarded})");
+                let stats = &analysis.stats;
                 let _ = writeln!(
                     text,
                     "[{} steps, {} expansions, peak {} configs, {} merge hits]",
-                    analysis.stats.steps,
-                    analysis.stats.expansions,
-                    analysis.stats.peak_configs,
-                    analysis.stats.merge_hits
+                    stats.steps, stats.expansions, stats.peak_configs, stats.merge_hits
                 );
-
-                let results_json = results.iter().map(query_result_json).collect();
-                Ok(Response::json(
-                    200,
-                    Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("engine", Json::Str(req.engine.name().into())),
-                        ("results", Json::Arr(results_json)),
-                        ("z", Json::Str(z.to_string())),
-                        ("discarded", Json::Str(discarded.to_string())),
-                        (
-                            "stats",
-                            Json::obj(vec![
-                                ("steps", Json::Num(analysis.stats.steps as f64)),
-                                ("expansions", Json::Num(analysis.stats.expansions as f64)),
-                                (
-                                    "peak_configs",
-                                    Json::Num(analysis.stats.peak_configs as f64),
-                                ),
-                                ("merge_hits", Json::Num(analysis.stats.merge_hits as f64)),
-                                (
-                                    "terminal_configs",
-                                    Json::Num(analysis.stats.terminal_configs as f64),
-                                ),
-                            ]),
-                        ),
-                        ("text", Json::Str(text)),
-                    ])
-                    .to_string(),
-                ))
+                Json::obj(vec![
+                    ("ok", Json::Bool(true)),
+                    ("engine", Json::Str(req.engine.name().into())),
+                    (
+                        "results",
+                        Json::Arr(results.iter().map(query_result_json).collect()),
+                    ),
+                    ("z", Json::Str(z.to_string())),
+                    ("discarded", Json::Str(discarded.to_string())),
+                    (
+                        "stats",
+                        Json::obj(vec![
+                            ("steps", Json::Num(stats.steps as f64)),
+                            ("expansions", Json::Num(stats.expansions as f64)),
+                            ("peak_configs", Json::Num(stats.peak_configs as f64)),
+                            ("merge_hits", Json::Num(stats.merge_hits as f64)),
+                            ("terminal_configs", Json::Num(stats.terminal_configs as f64)),
+                        ]),
+                    ),
+                    ("text", Json::Str(text)),
+                ])
             }
             Engine::Smc | Engine::Rejection => {
                 let opts = ApproxOptions {
@@ -532,7 +614,7 @@ impl Service {
                 };
                 let indices: Vec<usize> = match req.query {
                     Some(idx) => {
-                        req.check_query_index(idx, model.queries.len())?;
+                        check_query_index(idx, model.queries.len())?;
                         vec![idx]
                     }
                     None => (0..model.queries.len()).collect(),
@@ -542,9 +624,8 @@ impl Service {
                 for idx in indices {
                     let q = &model.queries[idx];
                     let est: Estimate = match req.engine {
-                        Engine::Smc => smc(model, scheduler, q, &opts),
-                        Engine::Rejection => rejection(model, scheduler, q, &opts),
-                        Engine::Exact | Engine::Bdd | Engine::Auto => unreachable!(),
+                        Engine::Smc => smc(model, &*scheduler, q, &opts),
+                        _ => rejection(model, &*scheduler, q, &opts),
                     }
                     .map_err(approx_error)?;
                     // Byte-for-byte the stdout of `bayonet run --engine smc`.
@@ -557,65 +638,54 @@ impl Service {
                         ("z_estimate", Json::Num(est.z_estimate)),
                     ]));
                 }
-                Ok(Response::json(
-                    200,
-                    Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("engine", Json::Str(req.engine.name().into())),
-                        ("estimates", Json::Arr(estimates)),
-                        ("text", Json::Str(text)),
-                    ])
-                    .to_string(),
-                ))
+                Json::obj(vec![
+                    ("ok", Json::Bool(true)),
+                    ("engine", Json::Str(req.engine.name().into())),
+                    ("estimates", Json::Arr(estimates)),
+                    ("text", Json::Str(text)),
+                ])
             }
-            // Resolved to a concrete engine in `inference` / `batch_item_inner`
-            // before any run is dispatched.
+            // Resolved to a concrete engine in `item` before any run.
             Engine::Auto => unreachable!("auto engine is resolved before dispatch"),
+        };
+        if let Some(plan) = plan {
+            let actual_ns = started.elapsed().as_nanos() as f64;
+            self.metrics
+                .record_planner_ratio(actual_ns / plan.est_cost_ns.max(1) as f64);
         }
+        Ok(Response::json(200, response.to_string()))
     }
 
-    fn synthesize_endpoint(
+    fn synthesize(
         &self,
         req: &InferenceRequest,
-        program: &Program,
+        model: &Model,
+        deadline: Deadline,
     ) -> Result<Response, ApiError> {
-        let (model, scheduler) = req.build_model(program)?;
         let query_idx = req.query.unwrap_or(0);
-        req.check_query_index(query_idx, model.queries.len())?;
-
-        let cache = Arc::new(FeasibilityCache::new());
-        let mut opts = self.exact_options(req, req.deadline());
-        opts.feasibility_cache = Some(Arc::clone(&cache));
-        let analysis = analyze(&model, &*scheduler, &opts).map_err(exact_error)?;
+        check_query_index(query_idx, model.queries.len())?;
+        let (opts, feasibility) = self.exact_options(req.threads, req.passes, deadline);
+        let analysis =
+            analyze(model, &*scheduler_for(model), &opts).map_err(|e| exact_error(&e))?;
         self.metrics.record_engine(&analysis.stats);
-        let result = answer_cached(
-            &model,
-            &analysis,
-            &model.queries[query_idx],
-            opts.fm_pruning,
-            Some(&cache),
-        )
-        .map_err(exact_error)?;
-        let (feas_hits, feas_misses) = cache.counts();
+        let query = &model.queries[query_idx];
+        let result = answer_cached(model, &analysis, query, opts.fm_pruning, Some(&feasibility))
+            .map_err(|e| exact_error(&e))?;
+        let (feas_hits, feas_misses) = feasibility.counts();
         self.metrics.record_feasibility(feas_hits, feas_misses);
+        let objective = match req.maximize {
+            true => Objective::Maximize,
+            false => Objective::Minimize,
+        };
         let synthesis = synthesize_result(
-            &model,
+            model,
             &result,
             SynthesisOptions {
-                objective: if req.maximize {
-                    Objective::Maximize
-                } else {
-                    Objective::Minimize
-                },
+                objective,
                 positive_params: !req.allow_zero_params,
             },
         )
-        .map_err(|e| ApiError {
-            status: 422,
-            kind: "engine_error",
-            message: e.to_string(),
-            field: None,
-        })?;
+        .map_err(|e| ApiError::new(422, "engine_error", e.to_string()))?;
 
         // Byte-for-byte the stdout of `bayonet synthesize`.
         let mut text = String::new();
@@ -651,11 +721,9 @@ impl Service {
         let _ = write!(text, "witness:      ");
         let mut witness = Vec::new();
         for (pid, v) in &synthesis.assignment {
-            let _ = write!(text, " {} = {v}", model.params.name(*pid));
-            witness.push((
-                model.params.name(*pid).to_string(),
-                Json::Str(v.to_string()),
-            ));
+            let name = model.params.name(*pid);
+            let _ = write!(text, " {name} = {v}");
+            witness.push((name.to_string(), Json::Str(v.to_string())));
         }
         text.push('\n');
 
@@ -675,135 +743,53 @@ impl Service {
         ))
     }
 
-    /// The buffered `/v1/batch` handler used by [`Service::handle`]: runs
-    /// the whole batch, then returns one NDJSON body with the frames
-    /// sorted by item index. The HTTP server streams instead via
-    /// [`Service::handle_batch`]; this path serves in-process callers (the
-    /// CLI's `run --batch`, tests) that want deterministic output.
-    fn batch_endpoint(&self, req: &Request) -> Response {
-        let batch = match BatchRequest::from_http(req) {
-            Ok(batch) => batch,
-            Err(e) => return e.into_response(),
-        };
-        let deadline = batch.deadline();
-        let frames: Mutex<Vec<(usize, Vec<u8>)>> = Mutex::new(Vec::new());
-        let emit = |index: usize, resp: &Response| {
-            frames
-                .lock()
-                .expect("frames mutex")
-                .push((index, ndjson_frame(index, resp)));
-        };
-        let stats = self.run_batch(&batch, &deadline, &emit);
-        self.record_batch_stats(&stats);
-        let mut frames = frames.into_inner().expect("frames mutex");
-        frames.sort_by_key(|(index, _)| *index);
-        let mut body = Vec::new();
-        for (_, frame) in frames {
-            body.extend_from_slice(&frame);
-        }
-        Response {
-            status: 200,
-            headers: Vec::new(),
-            content_type: "application/x-ndjson",
-            body,
-        }
-    }
+    /// `/v1/batch`: every item runs stages 3–5 as a `/v1/run` over the
+    /// batch's shared prepared sources, and its answer goes to `emit` as it
+    /// completes. Items fan out across lanes leased from the compute pool;
+    /// the request's own thread always works as lane zero, so a fully busy
+    /// pool degrades to sequential execution instead of blocking. Item
+    /// failures are per-item frames; only a malformed batch is an error.
+    fn batch(&self, doc: Json, emit: Emit<'_>) -> Result<(), ApiError> {
+        let batch = BatchRequest::decode(doc)?;
+        let shared = batch.shared_source.as_deref();
+        let mut outer = item_deadline(&Deadline::unlimited(), batch.timeout_ms);
+        let cancel = outer.cancel_handle();
 
-    /// The streaming `/v1/batch` handler: validates the batch, then writes
-    /// per-item NDJSON frames to `stream` as chunked transfer encoding, in
-    /// completion order. Validation errors are written as an ordinary
-    /// buffered error response (no chunk is ever emitted before the batch
-    /// is known to be well-formed). If the client disconnects mid-stream,
-    /// the remaining items are cancelled so engine time is not wasted on an
-    /// unreadable response.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors, including the client disconnecting
-    /// mid-batch.
-    pub fn handle_batch<W: Write + Send>(&self, req: &Request, stream: &mut W) -> io::Result<()> {
-        let started = Instant::now();
-        let batch = match BatchRequest::from_http(req) {
-            Ok(batch) => batch,
-            Err(e) => {
-                let resp = e.into_response();
-                self.metrics
-                    .record_request("/v1/batch", resp.status, started.elapsed());
-                return resp.write_to(stream);
+        // Stage 2, sequential: each distinct source text is prepared once,
+        // and sources that differ only in formatting share one preparation
+        // through their canonical form. Failures are prepared too: every
+        // item with a broken source reports the same structured error.
+        let mut prepared = HashMap::new();
+        let mut sources: HashMap<&str, Result<Arc<Source>, ApiError>> = HashMap::new();
+        let mut resolvable = 0u64;
+        for item in &batch.items {
+            if let Some(text) = item_source(item, shared) {
+                resolvable += 1;
+                sources
+                    .entry(text)
+                    .or_insert_with(|| prepare(text, &mut prepared));
             }
-        };
-        let mut deadline = batch.deadline();
-        let cancel = deadline.cancel_handle();
-        let writer = Mutex::new(ChunkedWriter::begin(stream, 200, "application/x-ndjson")?);
-        let broken = AtomicBool::new(false);
-        let emit = |index: usize, resp: &Response| {
-            if broken.load(Ordering::Relaxed) {
-                return;
-            }
-            let frame = ndjson_frame(index, resp);
-            let failed = writer
-                .lock()
-                .expect("chunk writer mutex")
-                .chunk(&frame)
-                .is_err();
-            if failed {
-                broken.store(true, Ordering::Relaxed);
-                // The client is gone; expire the remaining items instead of
-                // burning engine time on frames nobody will read.
-                cancel.cancel();
-            }
-        };
-        let stats = self.run_batch(&batch, &deadline, &emit);
-        self.metrics
-            .record_request("/v1/batch", 200, started.elapsed());
-        self.record_batch_stats(&stats);
-        if broken.load(Ordering::Relaxed) {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "client disconnected mid-batch",
-            ));
         }
-        writer.into_inner().expect("chunk writer mutex").finish()
-    }
 
-    fn record_batch_stats(&self, stats: &BatchStats) {
-        self.metrics.record_batch(
-            stats.items,
-            stats.item_errors,
-            stats.compiles,
-            stats.source_reuse,
-        );
-    }
-
-    /// Runs every batch item, calling `emit` (possibly from several worker
-    /// threads, hence `Sync`) with each item's index and `/v1/run`-shaped
-    /// response as it completes. Items fan out across lanes leased from the
-    /// compute pool; the request's own thread always works as lane zero, so
-    /// a fully busy pool degrades to sequential execution instead of
-    /// blocking.
-    fn run_batch(
-        &self,
-        batch: &BatchRequest,
-        deadline: &Deadline,
-        emit: &(dyn Fn(usize, &Response) + Sync),
-    ) -> BatchStats {
-        // Phase 1 (sequential): compile each distinct source exactly once.
-        let prep = self.prepare_sources(batch);
-
-        // Phase 2 (parallel): fan items out over pool lanes.
         let next = AtomicUsize::new(0);
         let item_errors = AtomicU64::new(0);
-        let shared_source = batch.shared_source.as_deref();
         let run_lane = || loop {
             let index = next.fetch_add(1, Ordering::Relaxed);
             let Some(item) = batch.items.get(index) else {
                 break;
             };
-            let resp = self.batch_item(item, shared_source, &prep, deadline);
+            let resp = InferenceRequest::decode(item, shared)
+                .and_then(|req| {
+                    let source = sources[req.source.as_str()].clone()?;
+                    self.item("/v1/run", req, &source, &outer)
+                })
+                .unwrap_or_else(ApiError::into_response);
             if resp.status != 200 {
                 item_errors.fetch_add(1, Ordering::Relaxed);
             }
-            emit(index, &resp);
+            if !emit(index, &resp) {
+                cancel.cancel();
+            }
         };
         let lease = self
             .pool
@@ -823,333 +809,71 @@ impl Service {
         }
         drop(lease);
 
-        let resolvable = batch
-            .items
-            .iter()
-            .filter(|item| item_source(item, shared_source).is_some())
-            .count() as u64;
-        BatchStats {
-            items: batch.items.len() as u64,
-            item_errors: item_errors.into_inner(),
-            compiles: prep.compiles,
-            source_reuse: resolvable.saturating_sub(prep.fresh),
-        }
+        let fresh = prepared.len() + sources.values().filter(|s| s.is_err()).count();
+        self.metrics.record_batch(
+            batch.items.len() as u64,
+            item_errors.into_inner(),
+            prepared.len() as u64,
+            resolvable.saturating_sub(fresh as u64),
+        );
+        Ok(())
     }
 
-    /// Scans the batch once and parses + checks + compiles each distinct
-    /// source exactly one time. Sources that differ only in formatting
-    /// share a compile through the canonical pretty-printed form. Failures
-    /// are prepared too: every item with a broken source reports the same
-    /// structured error without re-parsing.
-    fn prepare_sources(&self, batch: &BatchRequest) -> BatchPrep {
-        let mut by_source: HashMap<String, Arc<PreparedSource>> = HashMap::new();
-        let mut by_canonical: HashMap<String, Arc<PreparedSource>> = HashMap::new();
-        let mut compiles = 0u64;
-        let mut fresh = 0u64;
-        for item in &batch.items {
-            let Some(source) = item_source(item, batch.shared_source.as_deref()) else {
-                // No resolvable source: the per-item pass reports the same
-                // missing-field error `/v1/run` would.
-                continue;
-            };
-            if by_source.contains_key(source) {
-                continue;
-            }
-            let prepared = match parse(source) {
-                Err(e) => {
-                    fresh += 1;
-                    Arc::new(PreparedSource {
-                        canonical: String::new(),
-                        outcome: Err(ApiError {
-                            status: 422,
-                            kind: "parse_error",
-                            message: e.to_string(),
-                            field: None,
-                        }),
-                    })
-                }
-                Ok(program) => {
-                    let canonical = pretty_program(&program);
-                    match by_canonical.get(&canonical) {
-                        // Textually different but canonically identical:
-                        // reuse the compile.
-                        Some(shared) => Arc::clone(shared),
-                        None => {
-                            fresh += 1;
-                            compiles += 1;
-                            let prepared = Arc::new(PreparedSource {
-                                canonical: canonical.clone(),
-                                outcome: check_and_compile(&program),
-                            });
-                            by_canonical.insert(canonical, Arc::clone(&prepared));
-                            prepared
-                        }
-                    }
-                }
-            };
-            by_source.insert(source.to_string(), prepared);
-        }
-        BatchPrep {
-            by_source,
-            compiles,
-            fresh,
-        }
-    }
-
-    /// Runs one batch item to a `/v1/run`-shaped [`Response`] (success or
-    /// structured error), never panicking the lane.
-    fn batch_item(
-        &self,
-        item: &Json,
-        shared_source: Option<&str>,
-        prep: &BatchPrep,
-        batch_deadline: &Deadline,
-    ) -> Response {
-        match self.batch_item_inner(item, shared_source, prep, batch_deadline) {
-            Ok(resp) => resp,
-            Err(e) => e.into_response(),
-        }
-    }
-
-    fn batch_item_inner(
-        &self,
-        item: &Json,
-        shared_source: Option<&str>,
-        prep: &BatchPrep,
-        batch_deadline: &Deadline,
-    ) -> Result<Response, ApiError> {
-        let mut parsed = InferenceRequest::from_json(item, shared_source)?;
-        let prepared = prep
-            .by_source
-            .get(&parsed.source)
-            .expect("every resolvable source was prepared in the scan phase");
-        let template = match &prepared.outcome {
-            Ok(model) => model,
-            Err(e) => return Err(e.clone()),
-        };
-
-        let deadline = match parsed.timeout_ms {
-            Some(ms) => batch_deadline.clamped(Duration::from_millis(ms)),
-            None => batch_deadline.clone(),
-        };
-
-        // Auto items plan **per item** — the shared compile is still
-        // amortized, but routing is independent: each item's bindings (and
-        // its share of the remaining batch budget) can push it to a
-        // different engine. Resolution happens before the cache key below,
-        // exactly like the single-request path.
-        let mut prebuilt: Option<(Model, Box<dyn Scheduler>)> = None;
-        let mut plan: Option<Plan> = None;
-        if parsed.engine == Engine::Auto {
-            let mut model = template.clone();
-            apply_bindings(&mut model, &parsed.bindings)?;
-            match self.plan_auto(&mut parsed, &model, deadline.remaining()) {
-                Ok(p) => plan = Some(p),
-                Err(rejection) => return Ok(rejection),
-            }
-            let scheduler = scheduler_for(&model);
-            prebuilt = Some((model, scheduler));
-        }
-
-        // Same key as a single `/v1/run` call, so batch items and single
-        // runs share cache entries in both directions.
-        let key = parsed.cache_key("/v1/run", &prepared.canonical);
-        if let Some(hit) = self.cache.lock().expect("cache mutex").get(&key).cloned() {
-            self.metrics.record_cache(true);
-            return Ok(hit);
-        }
-        self.metrics.record_cache(false);
-
-        if batch_deadline.expired() {
-            return Err(ApiError {
-                status: 504,
-                kind: "timeout",
-                message: "batch budget exhausted before this item started".into(),
-                field: None,
-            });
-        }
-
-        let (model, scheduler) = match prebuilt {
-            Some(built) => built,
-            None => {
-                let mut model = template.clone();
-                apply_bindings(&mut model, &parsed.bindings)?;
-                let scheduler = scheduler_for(&model);
-                (model, scheduler)
-            }
-        };
-        let response =
-            self.run_with_model(&parsed, &model, &*scheduler, deadline, plan.as_ref())?;
-        if response.status == 200 {
-            let evictions = {
-                let mut cache = self.cache.lock().expect("cache mutex");
-                cache.insert(key, response.clone());
-                cache.evictions()
-            };
-            self.metrics.set_cache_evictions(evictions);
-            if let Some(store) = &self.persist {
-                store.append(key, response.body.clone());
-            }
-        }
-        Ok(response)
-    }
-
-    /// The buffered `/v1/sweep` handler used by [`Service::handle`]: runs
-    /// the whole grid, then returns one NDJSON body with one frame per grid
-    /// point, in grid (row-major) order. The HTTP server streams the same
-    /// frames instead via [`Service::handle_sweep`]; this path serves
-    /// in-process callers (the CLI's `run --sweep`, tests).
-    fn sweep_endpoint(&self, req: &Request) -> Response {
-        let frames = match self.run_sweep(req) {
-            Ok(frames) => frames,
-            Err(e) => return e.into_response(),
-        };
-        let mut body = Vec::new();
-        for frame in frames {
-            body.extend_from_slice(&frame);
-        }
-        Response {
-            status: 200,
-            headers: Vec::new(),
-            content_type: "application/x-ndjson",
-            body,
-        }
-    }
-
-    /// The streaming `/v1/sweep` handler: validates the request, runs the
-    /// sweep (sharing work across grid points), then writes per-point
-    /// NDJSON frames to `stream` as chunked transfer encoding. Validation
-    /// errors are written as an ordinary buffered error response — no chunk
-    /// is emitted before the sweep is known to be well-formed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors, including the client disconnecting
-    /// mid-stream.
-    pub fn handle_sweep<W: Write + Send>(&self, req: &Request, stream: &mut W) -> io::Result<()> {
-        let started = Instant::now();
-        match self.run_sweep(req) {
-            Err(e) => {
-                let resp = e.into_response();
-                self.metrics
-                    .record_request("/v1/sweep", resp.status, started.elapsed());
-                resp.write_to(stream)
-            }
-            Ok(frames) => {
-                self.metrics
-                    .record_request("/v1/sweep", 200, started.elapsed());
-                let mut writer = ChunkedWriter::begin(stream, 200, "application/x-ndjson")?;
-                for frame in &frames {
-                    writer.chunk(frame)?;
-                }
-                writer.finish()
-            }
-        }
-    }
-
-    /// Validates and runs one `/v1/sweep` request to its per-point NDJSON
-    /// frames (frame `index` = row-major grid index). The program compiles
-    /// once; the exact sweep engine then shares work across grid points —
-    /// symbolically (piecewise cells answer every point), via a replayed
-    /// exploration prefix, or not at all when nothing is shareable — while
-    /// staying bit-identical to independent pointwise runs.
-    fn run_sweep(&self, req: &Request) -> Result<Vec<Vec<u8>>, ApiError> {
-        let sreq = SweepRequest::from_http(req)?;
-        let program = parse(&sreq.source).map_err(|e| ApiError {
-            status: 422,
-            kind: "parse_error",
-            message: e.to_string(),
-            field: None,
-        })?;
-        let canonical = pretty_program(&program);
-        let mut model = check_and_compile(&program)?;
-        apply_bindings(&mut model, &sreq.bindings)?;
-        // Optimize up front (rather than letting the sweep engine do it)
-        // so the pass report feeds the metrics registry; the sweep's own
-        // hook sees `opt_info` already attached and skips re-running.
-        if sreq.passes {
-            model = optimize(&model);
-            if let Some(info) = model.opt_info() {
-                let r = &info.report;
-                self.metrics
-                    .record_opt(r.pass_runs, r.flips_eliminated, r.guards_folded);
-            }
-        }
+    /// `/v1/sweep`: one prepared source, bound to the fixed bindings and
+    /// handed to the exact sweep engine, which shares work across grid
+    /// points — symbolically (piecewise cells answer every point), via a
+    /// replayed exploration prefix, or not at all when nothing is
+    /// shareable — while staying bit-identical to independent pointwise
+    /// runs. Frame `index` is the row-major grid index.
+    fn sweep(&self, doc: Json, emit: Emit<'_>) -> Result<(), ApiError> {
+        let sweep = SweepRequest::decode(doc)?;
+        let source = prepare(&sweep.source, &mut HashMap::new())?;
+        let model = bind(self.exact_model(&source, sweep.passes)?, &sweep.bindings)?;
 
         // Resolve swept names against the declared parameter table before
         // any engine work; a typo'd name is a structured 400, not 16
         // identical per-point errors.
-        let mut param_ids = Vec::with_capacity(sreq.sweep.len());
-        for (name, _) in &sreq.sweep {
-            let id = model
-                .params
-                .iter()
-                .find(|id| model.params.name(*id) == name.as_str())
-                .ok_or_else(|| ApiError {
-                    status: 400,
-                    kind: "bad_request",
-                    message: format!(
+        let mut param_ids = Vec::with_capacity(sweep.sweep.len());
+        for (name, _) in &sweep.sweep {
+            let id = model.params.lookup(name).ok_or_else(|| {
+                bad(
+                    format!(
                         "unknown swept parameter `{name}` (not declared in `parameters {{ ... }}`)"
                     ),
-                    field: Some(format!("sweep.{name}")),
-                })?;
+                    format!("sweep.{name}"),
+                )
+            })?;
             param_ids.push(id);
         }
-        let points = sreq.points();
+        let points = sweep.points();
 
-        // Per-point cache probe: every point of an all-hit sweep is served
-        // from cache with no engine work. A partial hit reruns the whole
-        // grid — shared exploration makes skipping individual points a
-        // wash — and refreshes every entry.
+        // Every point of an all-hit sweep is served from cache with no
+        // engine work. A partial hit reruns the whole grid — shared
+        // exploration makes skipping individual points a wash — and
+        // refreshes every entry.
         let keys: Vec<u64> = points
             .iter()
-            .map(|p| sreq.point_key(&canonical, p))
+            .map(|p| sweep.point_key(&source.canonical, p))
             .collect();
-        {
-            let mut cache = self.cache.lock().expect("cache mutex");
-            let hits: Vec<Response> = keys.iter().filter_map(|k| cache.get(k).cloned()).collect();
-            if hits.len() == keys.len() {
-                drop(cache);
-                self.metrics.record_cache(true);
-                self.metrics
-                    .record_sweep("cached", points.len() as u64, 0, 0, 0);
-                return Ok(hits
-                    .iter()
-                    .enumerate()
-                    .map(|(i, resp)| ndjson_frame(i, resp))
-                    .collect());
+        if let Some(hits) = self.lookup(&keys) {
+            self.metrics
+                .record_sweep("cached", points.len() as u64, 0, 0, 0);
+            for (i, hit) in hits.iter().enumerate() {
+                emit(i, hit);
             }
+            return Ok(());
         }
-        self.metrics.record_cache(false);
 
-        let requested = sreq.threads.unwrap_or(1);
-        let threads = match &self.pool {
-            Some(pool) => requested.min(pool.capacity()),
-            None => 1,
-        };
-        let deadline = match sreq.timeout_ms {
-            Some(ms) => Deadline::after(Duration::from_millis(ms)),
-            None => Deadline::unlimited(),
-        };
-        let feas = Arc::new(FeasibilityCache::new());
-        let mut opts = ExactOptions {
-            deadline,
-            threads,
-            pool: self.pool.clone(),
-            passes: sreq.passes,
-            ..ExactOptions::default()
-        };
-        opts.engine = match sreq.engine {
+        let deadline = item_deadline(&Deadline::unlimited(), sweep.timeout_ms);
+        let (mut opts, feasibility) = self.exact_options(sweep.threads, sweep.passes, deadline);
+        opts.engine = match sweep.engine {
             Engine::Bdd => EngineKind::Bdd,
             Engine::Auto => EngineKind::Auto,
             _ => EngineKind::Enum,
         };
-        opts.feasibility_cache = Some(Arc::clone(&feas));
-
-        let result =
-            bayonet_exact::sweep(&model, &param_ids, &points, &opts).map_err(exact_error)?;
+        let result = bayonet_exact::sweep(&model, &param_ids, &points, &opts)
+            .map_err(|e| exact_error(&e))?;
         self.metrics.record_engine(&result.prefix_stats);
-        let mut frames = Vec::with_capacity(points.len());
         let mut point_errors = 0u64;
         for (i, (point, outcome)) in points.iter().zip(&result.points).enumerate() {
             let resp = match outcome {
@@ -1158,27 +882,17 @@ impl Service {
                     // the shared prefix was folded in once above, so the
                     // exported expansion totals reflect the actual saving.
                     self.metrics.record_engine(&p.stats);
-                    sweep_point_response(&result, &sreq.sweep, point, p)
+                    sweep_point_response(&result, &sweep.sweep, point, p)
                 }
                 Err(e) => {
                     point_errors += 1;
-                    exact_error_ref(e).into_response()
+                    exact_error(e).into_response()
                 }
             };
-            if resp.status == 200 {
-                let evictions = {
-                    let mut cache = self.cache.lock().expect("cache mutex");
-                    cache.insert(keys[i], resp.clone());
-                    cache.evictions()
-                };
-                self.metrics.set_cache_evictions(evictions);
-                if let Some(store) = &self.persist {
-                    store.append(keys[i], resp.body.clone());
-                }
-            }
-            frames.push(ndjson_frame(i, &resp));
+            self.store(keys[i], &resp);
+            emit(i, &resp);
         }
-        let (feas_hits, feas_misses) = feas.counts();
+        let (feas_hits, feas_misses) = feasibility.counts();
         self.metrics.record_feasibility(feas_hits, feas_misses);
         self.metrics.record_sweep(
             result.route.name(),
@@ -1187,7 +901,100 @@ impl Service {
             result.reused_points() as u64,
             result.shared_steps,
         );
-        Ok(frames)
+        Ok(())
+    }
+}
+
+/// One distinct program, prepared once per request: parsed, pretty-printed
+/// and checked. Its models are built on first use, so a cache hit or a
+/// `/v1/check` never compiles.
+struct Source {
+    /// Canonical pretty-printed program, the cache keys' program part.
+    canonical: String,
+    /// The parsed program, compiled on first use.
+    program: Program,
+    /// The integrity check's warnings, or every error it found.
+    check: Result<Vec<String>, Vec<String>>,
+    /// See [`Source::model`].
+    model: OnceLock<Result<Model, ApiError>>,
+    /// See [`Service::exact_model`].
+    optimized: OnceLock<Arc<Model>>,
+}
+
+impl Source {
+    /// The compiled model with no bindings applied, compiled the first time
+    /// an item needs it, or the structured error every item with this
+    /// source reports.
+    fn model(&self) -> Result<&Model, ApiError> {
+        self.model
+            .get_or_init(|| match &self.check {
+                Ok(_) => compile(&self.program)
+                    .map_err(|e| ApiError::new(422, "compile_error", e.to_string())),
+                Err(errors) => Err(ApiError::new(
+                    422,
+                    "check_error",
+                    format!("{} integrity error(s): {}", errors.len(), errors.join("; ")),
+                )),
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+}
+
+/// Stage 2: parses `text` and returns its prepared source. Calls sharing
+/// `prepared` check each canonical program only once, so sources that
+/// differ only in formatting share the work.
+fn prepare(
+    text: &str,
+    prepared: &mut HashMap<String, Arc<Source>>,
+) -> Result<Arc<Source>, ApiError> {
+    let program = parse(text).map_err(|e| ApiError::new(422, "parse_error", e.to_string()))?;
+    let source = prepared
+        .entry(pretty_program(&program))
+        .or_insert_with_key(|canonical| {
+            let check = match check(&program) {
+                Ok(report) => Ok(report.warnings.into_iter().map(|w| w.message).collect()),
+                Err(errors) => Err(errors.iter().map(ToString::to_string).collect::<Vec<_>>()),
+            };
+            Arc::new(Source {
+                canonical: canonical.clone(),
+                program,
+                check,
+                model: OnceLock::new(),
+                optimized: OnceLock::new(),
+            })
+        });
+    Ok(Arc::clone(source))
+}
+
+/// A copy of `model` with request parameter bindings applied.
+fn bind(model: &Model, bindings: &[(String, Rat)]) -> Result<Model, ApiError> {
+    let mut model = model.clone();
+    for (name, value) in bindings {
+        model
+            .bind_param(name, value.clone())
+            .map_err(|e| ApiError::new(400, "bad_request", e.to_string()))?;
+    }
+    Ok(model)
+}
+
+/// The deadline for work budgeted `timeout_ms`, cut to what remains of
+/// `outer`: the single place a request's `timeout_ms` becomes a
+/// [`Deadline`].
+fn item_deadline(outer: &Deadline, timeout_ms: Option<u64>) -> Deadline {
+    match timeout_ms {
+        Some(ms) => outer.clamped(Duration::from_millis(ms)),
+        None => outer.clone(),
+    }
+}
+
+/// The budget the planner weighs for work under [`item_deadline`]:
+/// `timeout_ms` itself unless less of `outer` remains.
+fn plan_budget(outer: &Deadline, timeout_ms: Option<u64>) -> Option<Duration> {
+    let own = timeout_ms.map(Duration::from_millis);
+    match (own, outer.remaining()) {
+        (Some(own), Some(left)) => Some(own.min(left)),
+        (own, left) => own.or(left),
     }
 }
 
@@ -1209,6 +1016,40 @@ fn ndjson_frame(index: usize, resp: &Response) -> Vec<u8> {
     frame.extend_from_slice(&resp.body);
     frame.extend_from_slice(b"}\n");
     frame
+}
+
+/// The `/v1/check` answer: the warnings, or every integrity error.
+fn check_response(check: &Result<Vec<String>, Vec<String>>) -> Response {
+    let strings = |items: &[String]| Json::Arr(items.iter().cloned().map(Json::Str).collect());
+    let body = match check {
+        Ok(warnings) => {
+            let mut text = String::new();
+            for w in warnings {
+                let _ = writeln!(text, "warning: {w}");
+            }
+            let _ = writeln!(text, "ok: {} warning(s)", warnings.len());
+            Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("warnings", strings(warnings)),
+                ("text", Json::Str(text)),
+            ])
+        }
+        Err(errors) => Json::obj(vec![
+            ("ok", Json::Bool(false)),
+            (
+                "error",
+                Json::obj(vec![
+                    ("kind", Json::Str("check_error".into())),
+                    (
+                        "message",
+                        Json::Str(format!("{} integrity error(s)", errors.len())),
+                    ),
+                    ("details", strings(errors)),
+                ]),
+            ),
+        ]),
+    };
+    Response::json(if check.is_ok() { 200 } else { 422 }, body.to_string())
 }
 
 /// One grid point's response body: the `/v1/run` shape plus the point's
@@ -1259,6 +1100,306 @@ fn sweep_point_response(
     )
 }
 
+// ---- Stage 1: request decoding ----
+//
+// The field decoders below are shared by every endpoint, and each 400
+// they return names its field in `error.field`.
+
+/// Decodes a request body as one JSON document; bad UTF-8 and bad JSON
+/// are the same structured `400` on every endpoint.
+fn request_doc(req: &Request) -> Result<Json, ApiError> {
+    let body = req
+        .body_str()
+        .map_err(|e| ApiError::new(400, "bad_request", e.to_string()))?;
+    json::parse(body).map_err(|e| ApiError::new(400, "bad_request", e.to_string()))
+}
+
+/// Checks that `doc` is an object with no field outside `known`; `noun`
+/// names the request kind in the message. Unknown fields are loud, so a
+/// typo like `"cache": false` fails instead of silently changing nothing.
+fn known_fields(doc: &Json, noun: &str, known: &[&str]) -> Result<(), ApiError> {
+    let Some(pairs) = doc.as_obj() else {
+        return Err(ApiError::new(
+            400,
+            "bad_request",
+            "request body must be a JSON object",
+        ));
+    };
+    match pairs.iter().find(|(key, _)| !known.contains(&key.as_str())) {
+        Some((key, _)) => Err(bad(
+            format!(
+                "unknown {noun} field `{key}` (known fields: {})",
+                known.join(", ")
+            ),
+            key,
+        )),
+        None => Ok(()),
+    }
+}
+
+/// A field's value; JSON `null` reads as absent.
+fn field<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
+    doc.get(name).filter(|v| !matches!(v, Json::Null))
+}
+
+/// A `source` value moved out of its document: a string, or absent.
+fn source_field(value: Option<Json>) -> Result<Option<String>, ApiError> {
+    match value {
+        None | Some(Json::Null) => Ok(None),
+        Some(Json::Str(source)) => Ok(Some(source)),
+        Some(_) => Err(bad("`source` must be a string", "source")),
+    }
+}
+
+fn missing_source() -> ApiError {
+    bad("missing required string field `source`", "source")
+}
+
+/// `engine`: absent means `exact` (`enum` is an alias); any other value,
+/// `null` included, is a 400 listing the `known` engines.
+fn engine_field(doc: &Json, known: &str) -> Result<Engine, ApiError> {
+    Ok(match doc.get("engine").map(|v| (v, v.as_str())) {
+        None | Some((_, Some("exact" | "enum"))) => Engine::Exact,
+        Some((_, Some("bdd"))) => Engine::Bdd,
+        Some((_, Some("smc"))) => Engine::Smc,
+        Some((_, Some("rejection"))) => Engine::Rejection,
+        Some((_, Some("auto"))) => Engine::Auto,
+        Some((v, _)) => {
+            return Err(bad(
+                format!("unknown engine {v} (known engines: {known})"),
+                "engine",
+            ))
+        }
+    })
+}
+
+/// `bindings`: parameter name → integer or rational string, sorted by name
+/// for canonical hashing. With `explain`, a malformed rational string
+/// reports why it failed to parse.
+fn bindings_field(doc: &Json, explain: bool) -> Result<Vec<(String, Rat)>, ApiError> {
+    let Some(value) = field(doc, "bindings") else {
+        return Ok(Vec::new());
+    };
+    let Some(pairs) = value.as_obj() else {
+        return Err(bad("`bindings` must be an object", "bindings"));
+    };
+    let mut bindings = Vec::with_capacity(pairs.len());
+    for (name, value) in pairs {
+        let field = || format!("bindings.{name}");
+        let rat = match value {
+            Json::Str(s) if explain => s
+                .parse::<Rat>()
+                .map_err(|e| bad(format!("bad binding for `{name}`: {e}"), field()))?,
+            _ => rat_from_json(value).ok_or_else(|| {
+                bad(
+                    format!(
+                        "binding `{name}` must be an integer or a rational string like \"1/2\""
+                    ),
+                    field(),
+                )
+            })?,
+        };
+        bindings.push((name.clone(), rat));
+    }
+    bindings.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(bindings)
+}
+
+/// Decodes one parameter value: a JSON integer or a rational string like
+/// `"1/2"` — the same forms `bindings` accepts.
+fn rat_from_json(value: &Json) -> Option<Rat> {
+    match value {
+        Json::Str(s) => s.parse::<Rat>().ok(),
+        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => Some(Rat::ratio(*n as i64, 1)),
+        _ => None,
+    }
+}
+
+/// A nonnegative integer field.
+fn uint_field(doc: &Json, name: &str) -> Result<Option<u64>, ApiError> {
+    field(doc, name)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| bad(format!("`{name}` must be a nonnegative integer"), name))
+        })
+        .transpose()
+}
+
+/// An integer field in `lo..=hi`. Wrong types, negatives, zero and
+/// out-of-range values are all 400s, never silent defaults: `timeout_ms: 0`
+/// would be a deadline that has already expired, and `threads: 0` a run
+/// with no workers.
+fn bounded_field(doc: &Json, name: &str, lo: u64, hi: u64) -> Result<Option<u64>, ApiError> {
+    match uint_field(doc, name)? {
+        Some(v) if !(lo..=hi).contains(&v) => Err(bad(
+            format!("`{name}` must be between {lo} and {hi}, got {v}"),
+            name,
+        )),
+        v => Ok(v),
+    }
+}
+
+fn timeout_field(doc: &Json) -> Result<Option<u64>, ApiError> {
+    bounded_field(doc, "timeout_ms", 1, MAX_TIMEOUT_MS)
+}
+
+fn threads_field(doc: &Json) -> Result<Option<usize>, ApiError> {
+    Ok(bounded_field(doc, "threads", 1, MAX_REQUEST_THREADS)?.map(|v| v as usize))
+}
+
+/// A boolean field, `default` when absent.
+fn bool_field(doc: &Json, name: &str, default: bool) -> Result<bool, ApiError> {
+    field(doc, name).map_or(Ok(default), |v| {
+        v.as_bool()
+            .ok_or_else(|| bad(format!("`{name}` must be a boolean"), name))
+    })
+}
+
+const RUN_FIELDS: &[&str] = &[
+    "source",
+    "engine",
+    "query",
+    "bindings",
+    "particles",
+    "seed",
+    "timeout_ms",
+    "threads",
+    "maximize",
+    "allow_zero_params",
+    "passes",
+];
+
+const SWEEP_FIELDS: &[&str] = &[
+    "source",
+    "program",
+    "sweep",
+    "engine",
+    "bindings",
+    "timeout_ms",
+    "threads",
+    "passes",
+];
+
+/// The decoded body of a `/v1/check`, `/v1/run` or `/v1/synthesize`
+/// request, or of one `/v1/batch` item.
+struct InferenceRequest {
+    source: String,
+    engine: Engine,
+    query: Option<usize>,
+    /// Parameter bindings, sorted by name for canonical hashing.
+    bindings: Vec<(String, Rat)>,
+    particles: Option<usize>,
+    seed: Option<u64>,
+    timeout_ms: Option<u64>,
+    /// Requested exact-engine worker threads; validated at parse time and
+    /// clamped to the server's pool capacity at execution time.
+    threads: Option<usize>,
+    maximize: bool,
+    allow_zero_params: bool,
+    /// Whether to run the model-optimization pass pipeline (default true;
+    /// `"passes": false` mirrors the CLI's `--no-opt`). Part of the cache
+    /// key: pass-on and pass-off runs report different engine stats.
+    passes: bool,
+}
+
+impl InferenceRequest {
+    /// Decodes a whole request body or one batch item. With
+    /// `shared_source` set, an item missing its own `source` inherits it;
+    /// every validation message matches the single-request path, so batch
+    /// frames stay byte-identical to `/v1/run` responses.
+    fn decode(doc: &Json, shared_source: Option<&str>) -> Result<InferenceRequest, ApiError> {
+        known_fields(doc, "request", RUN_FIELDS)?;
+        let source = item_source(doc, shared_source).ok_or_else(missing_source)?;
+        Ok(InferenceRequest {
+            source: source.to_string(),
+            engine: engine_field(doc, "exact, enum, bdd, smc, rejection, auto")?,
+            query: uint_field(doc, "query")?.map(|v| v as usize),
+            bindings: bindings_field(doc, true)?,
+            timeout_ms: timeout_field(doc)?,
+            threads: threads_field(doc)?,
+            passes: bool_field(doc, "passes", true)?,
+            particles: uint_field(doc, "particles")?.map(|v| v as usize),
+            seed: uint_field(doc, "seed")?,
+            maximize: bool_field(doc, "maximize", false)?,
+            allow_zero_params: bool_field(doc, "allow_zero_params", false)?,
+        })
+    }
+
+    fn cache_key(&self, endpoint: &str, canonical_program: &str) -> u64 {
+        let mut h = DefaultHasher::new();
+        endpoint.hash(&mut h);
+        canonical_program.hash(&mut h);
+        self.engine.name().hash(&mut h);
+        self.query.hash(&mut h);
+        self.particles.hash(&mut h);
+        self.seed.hash(&mut h);
+        self.maximize.hash(&mut h);
+        self.allow_zero_params.hash(&mut h);
+        self.passes.hash(&mut h);
+        for (name, value) in &self.bindings {
+            name.hash(&mut h);
+            value.to_string().hash(&mut h);
+        }
+        h.finish()
+    }
+}
+
+/// The decoded body of a `/v1/batch` request.
+struct BatchRequest {
+    /// The raw per-item JSON objects, validated to be objects.
+    items: Vec<Json>,
+    /// Batch-level shared program source, if any.
+    shared_source: Option<String>,
+    /// Batch-level deadline budget covering all items.
+    timeout_ms: Option<u64>,
+}
+
+impl BatchRequest {
+    fn decode(mut doc: Json) -> Result<BatchRequest, ApiError> {
+        known_fields(&doc, "batch", &["source", "items", "timeout_ms"])?;
+        // `source` and `items` move out of the document instead of being
+        // cloned: a batch body can carry ~100 KB of program text.
+        let shared_source = source_field(doc.take("source"))?;
+        let timeout_ms = timeout_field(&doc)?;
+        let items = match doc.take("items") {
+            None => return Err(bad("missing required array field `items`", "items")),
+            Some(Json::Arr(items)) => items,
+            Some(_) => return Err(bad("`items` must be an array", "items")),
+        };
+        if items.is_empty() || items.len() > MAX_BATCH_ITEMS {
+            return Err(bad(
+                format!(
+                    "`items` must contain between 1 and {MAX_BATCH_ITEMS} items, got {}",
+                    items.len()
+                ),
+                "items",
+            ));
+        }
+        for (i, item) in items.iter().enumerate() {
+            if item.as_obj().is_none() {
+                return Err(bad(
+                    format!("batch item {i} must be a JSON object"),
+                    format!("items[{i}]"),
+                ));
+            }
+            if shared_source.is_some() && field(item, "source").is_some() {
+                return Err(bad(
+                    format!(
+                        "batch item {i} sets `source` while the batch has a shared top-level \
+                         `source`; use one or the other"
+                    ),
+                    format!("items[{i}].source"),
+                ));
+            }
+        }
+        Ok(BatchRequest {
+            items,
+            shared_source,
+            timeout_ms,
+        })
+    }
+}
+
 /// The decoded body of a `/v1/sweep` request.
 struct SweepRequest {
     source: String,
@@ -1278,178 +1419,82 @@ struct SweepRequest {
 }
 
 impl SweepRequest {
-    fn from_http(req: &Request) -> Result<SweepRequest, ApiError> {
-        let bad = |message: String, field: Option<String>| ApiError {
-            status: 400,
-            kind: "bad_request",
-            message,
-            field,
-        };
-        let mut doc = request_doc(req)?;
-        let Some(pairs) = doc.as_obj() else {
-            return Err(bad("request body must be a JSON object".into(), None));
-        };
-
-        let known = [
-            "source",
-            "program",
-            "sweep",
-            "engine",
-            "bindings",
-            "timeout_ms",
-            "threads",
-            "passes",
-        ];
-        for (key, _) in pairs {
-            if !known.contains(&key.as_str()) {
-                return Err(bad(
-                    format!(
-                        "unknown sweep field `{key}` (known fields: {})",
-                        known.join(", ")
-                    ),
-                    Some(key.clone()),
-                ));
-            }
-        }
-
+    fn decode(mut doc: Json) -> Result<SweepRequest, ApiError> {
+        known_fields(&doc, "sweep", SWEEP_FIELDS)?;
         // `program` is accepted as an alias for `source` (a grid file pairs
         // naturally with a program file); setting both is ambiguous.
-        let source_field = doc.take("source").filter(|v| !matches!(v, Json::Null));
-        let program_field = doc.take("program").filter(|v| !matches!(v, Json::Null));
-        if source_field.is_some() && program_field.is_some() {
+        let source = doc.take("source").filter(|v| !matches!(v, Json::Null));
+        let program = doc.take("program").filter(|v| !matches!(v, Json::Null));
+        if source.is_some() && program.is_some() {
             return Err(bad(
-                "`program` conflicts with `source`; set exactly one".into(),
-                Some("program".into()),
+                "`program` conflicts with `source`; set exactly one",
+                "program",
             ));
         }
-        let source = match source_field.or(program_field) {
-            Some(Json::Str(s)) => s,
-            Some(_) => {
-                return Err(bad(
-                    "`source` must be a string".into(),
-                    Some("source".into()),
-                ))
-            }
-            None => {
-                return Err(bad(
-                    "missing required string field `source`".into(),
-                    Some("source".into()),
-                ))
-            }
-        };
+        let source = source_field(source.or(program))?.ok_or_else(missing_source)?;
 
-        let engine = match doc.get("engine").map(|e| (e, e.as_str())) {
-            None => Engine::Exact,
-            Some((_, Some("exact" | "enum"))) => Engine::Exact,
-            Some((_, Some("bdd"))) => Engine::Bdd,
-            Some((_, Some("auto"))) => Engine::Auto,
-            Some((_, Some("smc" | "rejection"))) => {
+        let engine = match engine_field(&doc, "exact, enum, bdd, auto")? {
+            Engine::Smc | Engine::Rejection => {
                 return Err(bad(
                     "sweeps are exact-only (known engines: exact, enum, bdd, auto); \
-                     sampling engines cannot share work across grid points"
-                        .into(),
-                    Some("engine".into()),
+                     sampling engines cannot share work across grid points",
+                    "engine",
                 ))
             }
-            Some((v, _)) => {
-                return Err(bad(
-                    format!("unknown engine {v} (known engines: exact, enum, bdd, auto)"),
-                    Some("engine".into()),
-                ))
-            }
+            engine => engine,
         };
+        let bindings = bindings_field(&doc, false)?;
 
-        let mut bindings = Vec::new();
-        match doc.get("bindings") {
-            None | Some(Json::Null) => {}
-            Some(Json::Obj(pairs)) => {
-                for (name, value) in pairs {
-                    let rat = rat_from_json(value).ok_or_else(|| {
-                        bad(
-                            format!(
-                                "binding `{name}` must be an integer or a rational string \
-                                 like \"1/2\""
-                            ),
-                            Some(format!("bindings.{name}")),
-                        )
-                    })?;
-                    bindings.push((name.clone(), rat));
-                }
-            }
-            Some(_) => {
-                return Err(bad(
-                    "`bindings` must be an object".into(),
-                    Some("bindings".into()),
-                ))
-            }
+        let Some(grid) = field(&doc, "sweep") else {
+            return Err(bad("missing required object field `sweep`", "sweep"));
+        };
+        let Some(grid) = grid.as_obj() else {
+            return Err(bad(
+                "`sweep` must be an object mapping parameter names to value arrays",
+                "sweep",
+            ));
+        };
+        if grid.is_empty() {
+            return Err(bad("`sweep` must name at least one parameter", "sweep"));
         }
-        bindings.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let mut sweep: Vec<(String, Vec<Rat>)> = Vec::new();
-        match doc.get("sweep") {
-            None | Some(Json::Null) => {
+        let mut sweep: Vec<(String, Vec<Rat>)> = Vec::with_capacity(grid.len());
+        for (name, values) in grid {
+            let field = format!("sweep.{name}");
+            let Some(values) = values.as_arr() else {
+                return Err(bad(format!("`{field}` must be an array of values"), field));
+            };
+            if values.is_empty() {
                 return Err(bad(
-                    "missing required object field `sweep`".into(),
-                    Some("sweep".into()),
-                ))
-            }
-            Some(Json::Obj(grid)) => {
-                if grid.is_empty() {
-                    return Err(bad(
-                        "`sweep` must name at least one parameter".into(),
-                        Some("sweep".into()),
-                    ));
-                }
-                for (name, values) in grid {
-                    let field = format!("sweep.{name}");
-                    let Some(arr) = values.as_arr() else {
-                        return Err(bad(
-                            format!("`{field}` must be an array of values"),
-                            Some(field),
-                        ));
-                    };
-                    if arr.is_empty() {
-                        return Err(bad(
-                            format!("`{field}` must contain at least one value"),
-                            Some(field),
-                        ));
-                    }
-                    if sweep.iter().any(|(n, _)| n == name) {
-                        return Err(bad(
-                            format!("parameter `{name}` appears twice in `sweep`"),
-                            Some(field),
-                        ));
-                    }
-                    let mut vals = Vec::with_capacity(arr.len());
-                    for v in arr {
-                        vals.push(rat_from_json(v).ok_or_else(|| {
-                            bad(
-                                format!(
-                                    "values in `{field}` must be integers or rational \
-                                     strings like \"1/2\""
-                                ),
-                                Some(field.clone()),
-                            )
-                        })?);
-                    }
-                    sweep.push((name.clone(), vals));
-                }
-            }
-            Some(_) => {
-                return Err(bad(
-                    "`sweep` must be an object mapping parameter names to value arrays".into(),
-                    Some("sweep".into()),
-                ))
-            }
-        }
-        sweep.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, _) in &sweep {
-            if bindings.iter().any(|(b, _)| b == name) {
-                return Err(bad(
-                    format!("parameter `{name}` is set in both `bindings` and `sweep`"),
-                    Some(format!("sweep.{name}")),
+                    format!("`{field}` must contain at least one value"),
+                    field,
                 ));
             }
+            if sweep.iter().any(|(n, _)| n == name) {
+                return Err(bad(
+                    format!("parameter `{name}` appears twice in `sweep`"),
+                    field,
+                ));
+            }
+            let values = values.iter().map(rat_from_json).collect::<Option<Vec<_>>>();
+            let Some(values) = values else {
+                return Err(bad(
+                    format!(
+                        "values in `{field}` must be integers or rational strings like \"1/2\""
+                    ),
+                    field,
+                ));
+            };
+            sweep.push((name.clone(), values));
+        }
+        sweep.sort_by(|a, b| a.0.cmp(&b.0));
+        if let Some((name, _)) = sweep
+            .iter()
+            .find(|(name, _)| bindings.iter().any(|(b, _)| b == name))
+        {
+            return Err(bad(
+                format!("parameter `{name}` is set in both `bindings` and `sweep`"),
+                format!("sweep.{name}"),
+            ));
         }
         let total = sweep
             .iter()
@@ -1457,45 +1502,18 @@ impl SweepRequest {
         if total > MAX_SWEEP_POINTS {
             return Err(bad(
                 format!("sweep grid has {total} points; the maximum is {MAX_SWEEP_POINTS}"),
-                Some("sweep".into()),
+                "sweep",
             ));
         }
-
-        let bounded = |name: &'static str, lo: u64, hi: u64| -> Result<Option<u64>, ApiError> {
-            match doc.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => match v.as_u64() {
-                    Some(n) if (lo..=hi).contains(&n) => Ok(Some(n)),
-                    Some(n) => Err(bad(
-                        format!("`{name}` must be between {lo} and {hi}, got {n}"),
-                        Some(name.to_string()),
-                    )),
-                    None => Err(bad(
-                        format!("`{name}` must be a nonnegative integer"),
-                        Some(name.to_string()),
-                    )),
-                },
-            }
-        };
-        let timeout_ms = bounded("timeout_ms", 1, MAX_TIMEOUT_MS)?;
-        let threads = bounded("threads", 1, MAX_REQUEST_THREADS)?.map(|v| v as usize);
-
-        // Defaults to *true*, matching `/v1/run` and the CLI.
-        let passes = match doc.get("passes") {
-            None | Some(Json::Null) => true,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| bad("`passes` must be a boolean".into(), Some("passes".into())))?,
-        };
 
         Ok(SweepRequest {
             source,
             engine,
             bindings,
             sweep,
-            timeout_ms,
-            threads,
-            passes,
+            timeout_ms: timeout_field(&doc)?,
+            threads: threads_field(&doc)?,
+            passes: bool_field(&doc, "passes", true)?,
         })
     }
 
@@ -1535,165 +1553,6 @@ impl SweepRequest {
             value.to_string().hash(&mut h);
         }
         h.finish()
-    }
-}
-
-/// Decodes one parameter value: a JSON integer or a rational string like
-/// `"1/2"` — the same forms `bindings` accepts.
-fn rat_from_json(value: &Json) -> Option<Rat> {
-    match value {
-        Json::Str(s) => s.parse::<Rat>().ok(),
-        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => Some(Rat::ratio(*n as i64, 1)),
-        _ => None,
-    }
-}
-
-/// One distinct source's shared parse → check → compile outcome.
-struct PreparedSource {
-    /// Canonical pretty-printed program (empty when parsing failed).
-    canonical: String,
-    /// A compiled model template cloned per item, or the structured error
-    /// every item with this source reports.
-    outcome: Result<Model, ApiError>,
-}
-
-/// Result of the batch scan phase.
-struct BatchPrep {
-    /// Shared outcome per distinct raw source text.
-    by_source: HashMap<String, Arc<PreparedSource>>,
-    /// Distinct canonical programs actually compiled.
-    compiles: u64,
-    /// Distinct outcomes built (compiles plus parse failures); everything
-    /// else was a reuse.
-    fresh: u64,
-}
-
-/// Counters from one batch run, for `bayonet_batch_*` metrics.
-struct BatchStats {
-    items: u64,
-    item_errors: u64,
-    compiles: u64,
-    source_reuse: u64,
-}
-
-/// The decoded body of a `/v1/batch` request.
-struct BatchRequest {
-    /// The raw per-item JSON objects, validated to be objects.
-    items: Vec<Json>,
-    /// Batch-level shared program source, if any.
-    shared_source: Option<String>,
-    /// Batch-level deadline budget covering all items.
-    timeout_ms: Option<u64>,
-}
-
-impl BatchRequest {
-    fn from_http(req: &Request) -> Result<BatchRequest, ApiError> {
-        let bad = |message: String, field: Option<String>| ApiError {
-            status: 400,
-            kind: "bad_request",
-            message,
-            field,
-        };
-        let mut doc = request_doc(req)?;
-        let Some(pairs) = doc.as_obj() else {
-            return Err(bad("request body must be a JSON object".into(), None));
-        };
-
-        let known = ["source", "items", "timeout_ms"];
-        for (key, _) in pairs {
-            if !known.contains(&key.as_str()) {
-                return Err(bad(
-                    format!(
-                        "unknown batch field `{key}` (known fields: {})",
-                        known.join(", ")
-                    ),
-                    Some(key.clone()),
-                ));
-            }
-        }
-
-        // `source` and `items` move out of the document instead of being
-        // cloned: a batch body can carry ~100 KB of program text.
-        let shared_source = match doc.take("source") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s),
-            Some(_) => {
-                return Err(bad(
-                    "`source` must be a string".into(),
-                    Some("source".into()),
-                ))
-            }
-        };
-        let timeout_ms = match doc.get("timeout_ms") {
-            None | Some(Json::Null) => None,
-            Some(v) => match v.as_u64() {
-                Some(ms) if (1..=MAX_TIMEOUT_MS).contains(&ms) => Some(ms),
-                Some(ms) => {
-                    return Err(bad(
-                        format!("`timeout_ms` must be between 1 and {MAX_TIMEOUT_MS}, got {ms}"),
-                        Some("timeout_ms".into()),
-                    ))
-                }
-                None => {
-                    return Err(bad(
-                        "`timeout_ms` must be a nonnegative integer".into(),
-                        Some("timeout_ms".into()),
-                    ))
-                }
-            },
-        };
-
-        let items = match doc.take("items") {
-            None => {
-                return Err(bad(
-                    "missing required array field `items`".into(),
-                    Some("items".into()),
-                ))
-            }
-            Some(Json::Arr(items)) => items,
-            Some(_) => return Err(bad("`items` must be an array".into(), Some("items".into()))),
-        };
-        if items.is_empty() || items.len() > MAX_BATCH_ITEMS {
-            return Err(bad(
-                format!(
-                    "`items` must contain between 1 and {MAX_BATCH_ITEMS} items, got {}",
-                    items.len()
-                ),
-                Some("items".into()),
-            ));
-        }
-        for (i, item) in items.iter().enumerate() {
-            if item.as_obj().is_none() {
-                return Err(bad(
-                    format!("batch item {i} must be a JSON object"),
-                    Some(format!("items[{i}]")),
-                ));
-            }
-            let has_own_source = matches!(item.get("source"), Some(v) if !matches!(v, Json::Null));
-            if shared_source.is_some() && has_own_source {
-                return Err(bad(
-                    format!(
-                        "batch item {i} sets `source` while the batch has a shared top-level \
-                         `source`; use one or the other"
-                    ),
-                    Some(format!("items[{i}].source")),
-                ));
-            }
-        }
-
-        Ok(BatchRequest {
-            items,
-            shared_source,
-            timeout_ms,
-        })
-    }
-
-    /// The batch-level deadline covering every item.
-    fn deadline(&self) -> Deadline {
-        match self.timeout_ms {
-            Some(ms) => Deadline::after(Duration::from_millis(ms)),
-            None => Deadline::unlimited(),
-        }
     }
 }
 
@@ -1780,6 +1639,15 @@ struct ApiError {
 }
 
 impl ApiError {
+    fn new(status: u16, kind: &'static str, message: impl Into<String>) -> ApiError {
+        ApiError {
+            status,
+            kind,
+            message: message.into(),
+            field: None,
+        }
+    }
+
     fn into_response(self) -> Response {
         let mut error = vec![
             ("kind", Json::Str(self.kind.into())),
@@ -1793,6 +1661,25 @@ impl ApiError {
             Json::obj(vec![("ok", Json::Bool(false)), ("error", Json::obj(error))]).to_string(),
         )
     }
+}
+
+/// A `400 bad_request` naming the offending request `field`.
+fn bad(message: impl Into<String>, field: impl Into<String>) -> ApiError {
+    ApiError {
+        field: Some(field.into()),
+        ..ApiError::new(400, "bad_request", message)
+    }
+}
+
+fn check_query_index(idx: usize, len: usize) -> Result<(), ApiError> {
+    if idx < len {
+        return Ok(());
+    }
+    Err(ApiError::new(
+        400,
+        "bad_request",
+        format!("query index {idx} out of range ({len} queries declared)"),
+    ))
 }
 
 /// The structured 422 for a request whose cheapest cost estimate exceeds
@@ -1836,335 +1723,18 @@ fn infeasible_response(plan: &Plan, needed_ns: u64) -> Response {
     )
 }
 
-fn exact_error(e: ExactError) -> ApiError {
-    exact_error_ref(&e)
-}
-
-/// By-reference variant for per-point sweep errors, which stay owned by the
-/// [`bayonet_exact::SweepResult`].
-fn exact_error_ref(e: &ExactError) -> ApiError {
+fn exact_error(e: &ExactError) -> ApiError {
     match e {
-        ExactError::Interrupted { .. } => ApiError {
-            status: 504,
-            kind: "timeout",
-            message: e.to_string(),
-            field: None,
-        },
-        other => ApiError {
-            status: 422,
-            kind: "engine_error",
-            message: other.to_string(),
-            field: None,
-        },
+        ExactError::Interrupted { .. } => ApiError::new(504, "timeout", e.to_string()),
+        other => ApiError::new(422, "engine_error", other.to_string()),
     }
 }
 
 fn approx_error(e: ApproxError) -> ApiError {
     match e {
-        ApproxError::Interrupted { .. } => ApiError {
-            status: 504,
-            kind: "timeout",
-            message: e.to_string(),
-            field: None,
-        },
-        other => ApiError {
-            status: 422,
-            kind: "engine_error",
-            message: other.to_string(),
-            field: None,
-        },
+        ApproxError::Interrupted { .. } => ApiError::new(504, "timeout", e.to_string()),
+        other => ApiError::new(422, "engine_error", other.to_string()),
     }
-}
-
-/// The decoded body of a `/v1/*` inference request.
-struct InferenceRequest {
-    source: String,
-    engine: Engine,
-    query: Option<usize>,
-    /// Parameter bindings, sorted by name for canonical hashing.
-    bindings: Vec<(String, Rat)>,
-    particles: Option<usize>,
-    seed: Option<u64>,
-    timeout_ms: Option<u64>,
-    /// Requested exact-engine worker threads; validated at parse time and
-    /// clamped to the server's pool capacity at execution time.
-    threads: Option<usize>,
-    maximize: bool,
-    allow_zero_params: bool,
-    /// Whether to run the model-optimization pass pipeline (default true;
-    /// `"passes": false` mirrors the CLI's `--no-opt`). Part of the cache
-    /// key: pass-on and pass-off runs report different engine stats.
-    passes: bool,
-}
-
-impl InferenceRequest {
-    fn from_http(req: &Request) -> Result<InferenceRequest, ApiError> {
-        InferenceRequest::from_json(&request_doc(req)?, None)
-    }
-
-    /// Decodes one inference request from an already parsed JSON object —
-    /// either a whole `/v1/*` request body or one `/v1/batch` item. With
-    /// `shared_source` set, an item missing its own `source` inherits it;
-    /// every validation message matches the single-request path exactly, so
-    /// batch frames stay byte-identical to `/v1/run` responses.
-    fn from_json(doc: &Json, shared_source: Option<&str>) -> Result<InferenceRequest, ApiError> {
-        let bad = |message: String| ApiError {
-            status: 400,
-            kind: "bad_request",
-            message,
-            field: None,
-        };
-        if doc.as_obj().is_none() {
-            return Err(bad("request body must be a JSON object".into()));
-        }
-
-        let known = [
-            "source",
-            "engine",
-            "query",
-            "bindings",
-            "particles",
-            "seed",
-            "timeout_ms",
-            "threads",
-            "maximize",
-            "allow_zero_params",
-            "passes",
-        ];
-        for (key, _) in doc.as_obj().expect("checked") {
-            if !known.contains(&key.as_str()) {
-                // Named structurally (`error.field`) so clients can catch a
-                // typo like `"cache": false` programmatically instead of
-                // having it silently change nothing.
-                return Err(ApiError {
-                    status: 400,
-                    kind: "bad_request",
-                    message: format!(
-                        "unknown request field `{key}` (known fields: {})",
-                        known.join(", ")
-                    ),
-                    field: Some(key.clone()),
-                });
-            }
-        }
-
-        let source = doc
-            .get("source")
-            .and_then(Json::as_str)
-            .or(shared_source)
-            .ok_or_else(|| bad("missing required string field `source`".into()))?
-            .to_string();
-        let engine = match doc.get("engine").map(|e| (e, e.as_str())) {
-            None => Engine::Exact,
-            Some((_, Some("exact" | "enum"))) => Engine::Exact,
-            Some((_, Some("bdd"))) => Engine::Bdd,
-            Some((_, Some("smc"))) => Engine::Smc,
-            Some((_, Some("rejection"))) => Engine::Rejection,
-            Some((_, Some("auto"))) => Engine::Auto,
-            Some((v, _)) => {
-                return Err(ApiError {
-                    status: 400,
-                    kind: "bad_request",
-                    message: format!(
-                        "unknown engine {v} (known engines: exact, enum, bdd, smc, rejection, auto)"
-                    ),
-                    field: Some("engine".into()),
-                })
-            }
-        };
-        let query = match doc.get("query") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| bad("`query` must be a nonnegative integer".into()))?
-                    as usize,
-            ),
-        };
-        let mut bindings = Vec::new();
-        match doc.get("bindings") {
-            None | Some(Json::Null) => {}
-            Some(Json::Obj(pairs)) => {
-                for (name, value) in pairs {
-                    let rat = match value {
-                        Json::Str(s) => s
-                            .parse::<Rat>()
-                            .map_err(|e| bad(format!("bad binding for `{name}`: {e}")))?,
-                        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
-                            Rat::ratio(*n as i64, 1)
-                        }
-                        _ => {
-                            return Err(bad(format!(
-                                "binding `{name}` must be an integer or a rational string \
-                                 like \"1/2\""
-                            )))
-                        }
-                    };
-                    bindings.push((name.clone(), rat));
-                }
-            }
-            Some(_) => return Err(bad("`bindings` must be an object".into())),
-        }
-        bindings.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let int_field = |name: &str| -> Result<Option<u64>, ApiError> {
-            match doc.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| bad(format!("`{name}` must be a nonnegative integer"))),
-            }
-        };
-        let bool_field = |name: &str| -> Result<bool, ApiError> {
-            match doc.get(name) {
-                None | Some(Json::Null) => Ok(false),
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| bad(format!("`{name}` must be a boolean"))),
-            }
-        };
-
-        // Bounded integer knobs: wrong type, negative, zero, and
-        // out-of-range values are all structured 400s, never silent
-        // defaults. `timeout_ms: 0` would be a deadline that has already
-        // expired, and `threads: 0` a run with no workers — both are
-        // client mistakes worth naming.
-        let bounded_field = |name: &str, lo: u64, hi: u64| -> Result<Option<u64>, ApiError> {
-            match int_field(name)? {
-                None => Ok(None),
-                Some(v) if (lo..=hi).contains(&v) => Ok(Some(v)),
-                Some(v) => Err(bad(format!(
-                    "`{name}` must be between {lo} and {hi}, got {v}"
-                ))),
-            }
-        };
-        let timeout_ms = bounded_field("timeout_ms", 1, MAX_TIMEOUT_MS)?;
-        let threads = bounded_field("threads", 1, MAX_REQUEST_THREADS)?.map(|v| v as usize);
-
-        // Unlike the other boolean knobs, `passes` defaults to *true*.
-        let passes = match doc.get("passes") {
-            None | Some(Json::Null) => true,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| bad("`passes` must be a boolean".into()))?,
-        };
-
-        Ok(InferenceRequest {
-            source,
-            engine,
-            query,
-            bindings,
-            particles: int_field("particles")?.map(|v| v as usize),
-            seed: int_field("seed")?,
-            timeout_ms,
-            threads,
-            maximize: bool_field("maximize")?,
-            allow_zero_params: bool_field("allow_zero_params")?,
-            passes,
-        })
-    }
-
-    fn deadline(&self) -> Deadline {
-        match self.timeout_ms {
-            Some(ms) => Deadline::after(Duration::from_millis(ms)),
-            None => Deadline::unlimited(),
-        }
-    }
-
-    fn cache_key(&self, endpoint: &str, canonical_program: &str) -> u64 {
-        let mut h = DefaultHasher::new();
-        endpoint.hash(&mut h);
-        canonical_program.hash(&mut h);
-        self.engine.name().hash(&mut h);
-        self.query.hash(&mut h);
-        self.particles.hash(&mut h);
-        self.seed.hash(&mut h);
-        self.maximize.hash(&mut h);
-        self.allow_zero_params.hash(&mut h);
-        self.passes.hash(&mut h);
-        for (name, value) in &self.bindings {
-            name.hash(&mut h);
-            value.to_string().hash(&mut h);
-        }
-        h.finish()
-    }
-
-    fn check_query_index(&self, idx: usize, len: usize) -> Result<(), ApiError> {
-        if idx < len {
-            Ok(())
-        } else {
-            Err(ApiError {
-                status: 400,
-                kind: "bad_request",
-                message: format!("query index {idx} out of range ({len} queries declared)"),
-                field: None,
-            })
-        }
-    }
-
-    /// The CLI's `load()` pipeline on the request's parsed `source`:
-    /// compile, apply bindings, pick the scheduler.
-    fn build_model(&self, program: &Program) -> Result<(Model, Box<dyn Scheduler>), ApiError> {
-        let mut model = check_and_compile(program)?;
-        apply_bindings(&mut model, &self.bindings)?;
-        let scheduler = scheduler_for(&model);
-        Ok((model, scheduler))
-    }
-}
-
-/// Decodes a request body as one JSON document; bad UTF-8 and bad JSON
-/// are the same structured `400` on every endpoint.
-fn request_doc(req: &Request) -> Result<Json, ApiError> {
-    let bad = |message: String| ApiError {
-        status: 400,
-        kind: "bad_request",
-        message,
-        field: None,
-    };
-    let body = req.body_str().map_err(|e| bad(e.to_string()))?;
-    json::parse(body).map_err(|e| bad(e.to_string()))
-}
-
-/// Integrity-checks and compiles a parsed program with the same error
-/// shapes as the single-request path. Batch preparation calls this once
-/// per distinct canonical source.
-fn check_and_compile(program: &Program) -> Result<Model, ApiError> {
-    check(program).map_err(|errors| ApiError {
-        status: 422,
-        kind: "check_error",
-        message: format!(
-            "{} integrity error(s): {}",
-            errors.len(),
-            errors
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        ),
-        field: None,
-    })?;
-    compile(program).map_err(|e| ApiError {
-        status: 422,
-        kind: "compile_error",
-        message: e.to_string(),
-        field: None,
-    })
-}
-
-/// Applies request parameter bindings to a model, again with single-request
-/// error shapes.
-fn apply_bindings(model: &mut Model, bindings: &[(String, Rat)]) -> Result<(), ApiError> {
-    for (name, value) in bindings {
-        model
-            .bind_param(name, value.clone())
-            .map_err(|e| ApiError {
-                status: 400,
-                kind: "bad_request",
-                message: e.to_string(),
-                field: None,
-            })?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2241,6 +1811,67 @@ mod tests {
         assert!(text.contains("1/3"), "{text}");
         assert!(text.contains("Z = 1"), "{text}");
         assert!(text.ends_with("merge hits]\n"), "{text}");
+    }
+
+    /// Models are built on first use only: `/v1/check` and a cached
+    /// `/v1/run` answer without compiling.
+    #[test]
+    fn checks_and_cache_hits_never_compile() {
+        let svc = Service::new(4);
+        let compiles = |endpoint: &str| {
+            let body = Json::obj(vec![("source", Json::Str(GOSSIP.into()))]).to_string();
+            let doc = json::parse(&body).unwrap();
+            let resp = InferenceRequest::decode(&doc, None)
+                .and_then(|item| {
+                    let source = prepare(&item.source, &mut HashMap::new())?;
+                    let resp = svc.item(endpoint, item, &source, &Deadline::unlimited())?;
+                    Ok((resp, source.model.get().is_some()))
+                })
+                .map_err(ApiError::into_response);
+            let (resp, compiled) = resp.unwrap_or_else(|e| panic!("{endpoint}: {e:?}"));
+            assert_eq!(resp.status, 200, "{endpoint}");
+            compiled
+        };
+        assert!(!compiles("/v1/check"), "a check compiled");
+        assert!(compiles("/v1/run"), "a cache miss must compile");
+        assert!(!compiles("/v1/run"), "a cache hit compiled");
+        assert!(!compiles("/v1/check"), "a cached check compiled");
+    }
+
+    /// Optimized models outlive their request only for small programs, so
+    /// big distinct programs pin nothing; a kept model spares the passes.
+    #[test]
+    fn only_small_programs_keep_their_optimized_model() {
+        let svc = Service::new(0);
+        let pass_runs = || {
+            let metrics = svc.metrics.render();
+            let line = metrics
+                .lines()
+                .find(|l| l.starts_with("bayonet_opt_pass_runs_total "))
+                .expect("pass-run counter");
+            line.rsplit(' ').next().unwrap().parse::<u64>().unwrap()
+        };
+        let run = |source: &str| {
+            let body = Json::obj(vec![("source", Json::Str(source.into()))]).to_string();
+            let resp = svc.handle(&post("/v1/run", &body));
+            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        };
+        let query = "query probability(got@B == 1);";
+        for i in 0..3 {
+            let queries = format!("query probability(got@B == {i});\n").repeat(1000);
+            run(&GOSSIP.replace(query, &queries));
+        }
+        assert_eq!(
+            svc.optimized.lock().unwrap().len(),
+            0,
+            "a big program was kept"
+        );
+
+        run(GOSSIP);
+        let after_first = pass_runs();
+        assert_eq!(svc.optimized.lock().unwrap().len(), 1);
+        run(GOSSIP);
+        assert_eq!(pass_runs(), after_first, "a kept model was optimized again");
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! explicitly-routed requests in both directions, and plans `/v1/batch`
 //! items independently while still amortizing the shared compile.
 
-use bayonet_serve::{parse_json, start, Json};
+use bayonet_serve::{parse_json, start, Json, Request, Service};
 
 mod common;
 use common::{http, metric, metrics, parse_frames, post_batch, GOSSIP_K4, TINY};
+
+const TTL_TRIANGLE: &str = include_str!("../../../examples/bay/ttl_triangle.bay");
 
 fn run_auto(source: &str) -> String {
     Json::obj(vec![
@@ -266,4 +268,76 @@ fn batch_auto_items_plan_independently() {
         "{text}"
     );
     handle.shutdown();
+}
+
+/// The same auto-routed request plans identically whether it arrives on
+/// `/v1/run` or as a `/v1/batch` item: both plan against the optimized,
+/// bound model. Only `budget_ms` may differ, because a batch item's budget
+/// is what remains of the batch's time.
+#[test]
+fn run_and_batch_items_plan_identically() {
+    let plan_of = |path: &str, body: String| -> (u16, Json) {
+        let service = Service::new(0);
+        let resp = service.handle(&Request {
+            method: "POST".into(),
+            path: path.into(),
+            headers: Vec::new(),
+            body: body.into_bytes(),
+        });
+        let text = String::from_utf8(resp.body).expect("utf-8 body");
+        if path == "/v1/batch" {
+            let frame = parse_frames(&text).remove(0);
+            (frame.status, parse_json(&frame.body).expect("frame json"))
+        } else {
+            (resp.status, parse_json(&text).expect("json body"))
+        }
+    };
+    let item = |source: &str| {
+        Json::obj(vec![
+            ("source", Json::Str(source.into())),
+            ("engine", Json::Str("auto".into())),
+            ("timeout_ms", Json::Num(1.0)),
+        ])
+    };
+    let both = |source: &str| {
+        let run = plan_of("/v1/run", item(source).to_string());
+        let batch = plan_of(
+            "/v1/batch",
+            Json::obj(vec![("items", Json::Arr(vec![item(source)]))]).to_string(),
+        );
+        (run, batch)
+    };
+    let kind = |doc: &Json| {
+        doc.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+
+    let ((run_status, run), (batch_status, batch)) = both(GOSSIP_K4);
+    assert_eq!(run_status, 422, "{run}");
+    assert_eq!(batch_status, 422, "{batch}");
+    assert_eq!(kind(&run).as_deref(), Some("infeasible_deadline"), "{run}");
+    assert_eq!(kind(&batch), kind(&run), "{batch}");
+    let plan = |doc: &Json, key: &str| {
+        doc.get("error")
+            .and_then(|e| e.get("plan"))
+            .and_then(|p| p.get(key))
+            .map(Json::to_string)
+    };
+    for key in ["needed_ms", "est_enum_ms", "est_bdd_ms"] {
+        assert!(plan(&run, key).is_some(), "{key} missing: {run}");
+        assert_eq!(
+            plan(&batch, key),
+            plan(&run, key),
+            "{key}: {batch} vs {run}"
+        );
+    }
+
+    // The triangle is cheap enough for the budget on the optimized model,
+    // so neither endpoint may refuse it up front.
+    let ((_, run), (_, batch)) = both(TTL_TRIANGLE);
+    for doc in [&run, &batch] {
+        assert_ne!(kind(doc).as_deref(), Some("infeasible_deadline"), "{doc}");
+    }
 }

@@ -466,3 +466,111 @@ fn bodies_at_the_size_limit_are_answered_promptly() {
 
     handle.shutdown();
 }
+
+/// A `/v1/run` body for [`TINY`] with its query replaced by `query`.
+fn tiny_query(query: &str) -> String {
+    common::run_body(&TINY.replace("query probability(got@B == 1);", query))
+}
+
+/// [`TINY`]'s query with its comparison wrapped in `parens` parentheses;
+/// the comparison itself is one more nesting level.
+fn nested_query(parens: usize) -> String {
+    let (open, close) = ("(".repeat(parens), ")".repeat(parens));
+    tiny_query(&format!("query probability({open}got@B == 1{close});"))
+}
+
+/// `.bay` nesting is bounded before it can overflow a worker's stack: a
+/// program at the bound runs end to end on a worker, and deeper ones — up to
+/// a body-sized run of `(` — are structured parse errors that leave the
+/// server serving.
+#[test]
+fn source_nesting_is_bounded_on_workers() {
+    let handle = start(common::test_config()).expect("start server");
+    let addr = handle.addr();
+
+    let (status, body) = http(addr, &nested_query(bayonet_lang::MAX_NESTING - 1));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("1/3"), "{body}");
+
+    let parens = "(".repeat(MAX_BODY_BYTES - TINY.len() - 64);
+    for (name, body) in [
+        ("700 levels", nested_query(700)),
+        (
+            "a body of parens",
+            tiny_query(&format!("query probability({parens}")),
+        ),
+    ] {
+        assert!(body.len() <= MAX_BODY_BYTES, "{name}: body over the limit");
+        let (status, payload) = post_within(addr, &body, Duration::from_secs(30), name);
+        let head: String = payload.chars().take(300).collect();
+        assert_eq!(status, 422, "{name}: {head}");
+        let doc = parse_json(&payload).unwrap_or_else(|e| panic!("{name}: bad json {e}: {head}"));
+        let error = doc.get("error").expect("error object");
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("parse_error"),
+            "{name}: {head}"
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains("nesting deeper than"), "{name}: {message}");
+
+        let (health, _, text) = common::http(addr, "GET", "/healthz", "");
+        assert_eq!(health, 200, "{name}: server stopped serving: {text}");
+    }
+
+    handle.shutdown();
+}
+
+/// [`TINY`] whose sender forwards only if a chain of `operators` `and`s
+/// holds, tested inside blocks nested to the nesting bound: the deepest
+/// shape measured for operator chains.
+fn chained_send(operators: usize) -> String {
+    let chain = vec!["flip(p)"; operators + 1].join(" and ");
+    let levels = bayonet_lang::MAX_NESTING - 2;
+    let body = format!(
+        "{}if {chain} {{ fwd(1); }} else {{ drop; }}{}",
+        "if 1 == 1 { ".repeat(levels),
+        " }".repeat(levels)
+    );
+    TINY.replace(
+        "def send(pkt, pt) { if flip(1/3) { fwd(1); } else { drop; } }",
+        &format!("def send(pkt, pt) state p(1/3) {{ {body} }}"),
+    )
+}
+
+/// Operator chains are bounded on their own: a chain at
+/// `MAX_OPERATORS` under blocks at `MAX_NESTING` runs end to end on a
+/// worker with an exact and a sampling engine, and one more operator is a
+/// structured parse error.
+#[test]
+fn operator_chains_are_bounded_on_workers() {
+    let handle = start(common::test_config()).expect("start server");
+    let addr = handle.addr();
+    let at_bound = chained_send(bayonet_lang::MAX_OPERATORS);
+    for engine in [None, Some("smc")] {
+        let mut fields = vec![("source", Json::Str(at_bound.clone()))];
+        if let Some(engine) = engine {
+            fields.push(("engine", Json::Str(engine.into())));
+            fields.push(("seed", Json::Num(1.0)));
+        }
+        let (status, body) = http(addr, &Json::obj(fields).to_string());
+        assert_eq!(status, 200, "{engine:?}: {body}");
+    }
+
+    let (status, body) = http(
+        addr,
+        &common::run_body(&chained_send(bayonet_lang::MAX_OPERATORS + 1)),
+    );
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("parse_error"), "{body}");
+    assert!(
+        body.contains(&format!(
+            "more than {} binary operators",
+            bayonet_lang::MAX_OPERATORS
+        )),
+        "{body}"
+    );
+    let (health, _, text) = common::http(addr, "GET", "/healthz", "");
+    assert_eq!(health, 200, "{text}");
+    handle.shutdown();
+}
