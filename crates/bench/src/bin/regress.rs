@@ -8,6 +8,11 @@
 //! FNV-1a answer digests asserted equal, so the report doubles as a
 //! bit-identity witness while exposing the per-engine wall-clock trade-off
 //! (`enumerate_ns` vs. `bdd_enumerate_ns`, summarized as `bdd_speedup`).
+//! Each row also records the engine `engine: "auto"` picks for it
+//! (`auto_engine`, planned on the optimized model exactly as `analyze`
+//! plans it), that engine's time (`auto_enumerate_ns`), and how much
+//! slower it is than the fastest exact engine (`auto_vs_best`, 1.0 when
+//! the planner picked the winner).
 //! A dedicated parameter-sweep workload (`gossip_k4_sweep16`) times a
 //! 16-point grid both as independent pointwise runs and as one `sweep()`
 //! call, asserts their digests identical, and reports the shared-prefix
@@ -30,26 +35,30 @@
 //!                    median (either backend) regresses more than 25% vs.
 //!                    the committed baseline at PATH. Tune with
 //!                    BAYONET_BENCH_TOLERANCE / BAYONET_BENCH_STRICT (see
-//!                    `bayonet_bench::gate`).
+//!                    `bayonet_bench::gate`). The same flag also fails when
+//!                    any row's `auto_vs_best` exceeds 1.25 (rows whose
+//!                    auto-routed time is under the gate's noise floor are
+//!                    printed, not gated); that check needs no baseline, so
+//!                    it runs on every host class.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use bayonet::{parse, scenarios, Network, Rat, Sched};
+use bayonet::{parse, Network, Rat};
 use bayonet_bench::gate;
+use bayonet_bench::workloads::{self, curated, Workload};
+use bayonet_exact::planner::choose_exact;
 use bayonet_exact::{
     analyze, answer, answer_cached, sweep, synthesize_result, EngineKind, ExactOptions,
     FeasibilityCache, Objective, SynthesisOptions,
 };
-use bayonet_net::scheduler_for;
+use bayonet_net::opt::optimize;
+use bayonet_net::{scheduler_for, Model};
 use bayonet_serve::{parse_json, Json};
 
-struct Workload {
-    name: &'static str,
-    source: String,
-    bindings: Vec<(&'static str, Rat)>,
-    synthesize: bool,
-}
+/// Largest `auto_vs_best` the `--check` gate accepts: the auto-routed
+/// engine may be at most this much slower than the fastest exact engine.
+const MAX_AUTO_VS_BEST: f64 = 1.25;
 
 /// One trial's phase timings (nanoseconds) plus determinism evidence.
 /// The `bdd_*` fields come from re-enumerating the same compiled model
@@ -83,72 +92,6 @@ fn fnv1a(acc: u64, text: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-fn examples_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/bay")
-}
-
-fn curated(name: &'static str, file: &str) -> Workload {
-    let path = examples_dir().join(file);
-    let source = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    Workload {
-        name,
-        source,
-        bindings: Vec::new(),
-        synthesize: false,
-    }
-}
-
-fn workloads(quick: bool) -> Vec<Workload> {
-    let mut ws = vec![
-        Workload {
-            bindings: vec![("P_LOSS", Rat::ratio(1, 4))],
-            ..curated("lossy_link", "lossy_link.bay")
-        },
-        Workload {
-            synthesize: true,
-            ..curated("ecmp_costs", "ecmp_costs.bay")
-        },
-        curated("gossip_k4", "gossip_k4.bay"),
-        curated("ttl_triangle", "ttl_triangle.bay"),
-        Workload {
-            bindings: vec![("P_LOSS", Rat::ratio(1, 4))],
-            ..curated("fattree_k4", "fattree_k4.bay")
-        },
-        curated("firewall_nat", "firewall_nat.bay"),
-    ];
-    if !quick {
-        ws.push(Workload {
-            name: "reliability_chain_4",
-            source: scenarios::reliability_chain_source(4, &Rat::ratio(1, 1000), Sched::Uniform),
-            bindings: Vec::new(),
-            synthesize: false,
-        });
-        ws.push(Workload {
-            name: "congestion_chain_7",
-            source: scenarios::congestion_chain_source(7, Sched::Deterministic),
-            bindings: Vec::new(),
-            synthesize: false,
-        });
-        ws.push(Workload {
-            name: "gossip_k4_generated",
-            source: scenarios::gossip_source(4, Sched::Uniform),
-            bindings: Vec::new(),
-            synthesize: false,
-        });
-        // The structured workload where knowledge compilation pulls away
-        // from enumeration (~5-7x); deliberately not in --quick, since the
-        // enumeration side alone takes tens of seconds per trial.
-        ws.push(Workload {
-            name: "gossip_k5_generated",
-            source: scenarios::gossip_source(5, Sched::Uniform),
-            bindings: Vec::new(),
-            synthesize: false,
-        });
-    }
-    ws
 }
 
 /// One engine's share of a trial: analyze, answer every query, and (when
@@ -221,10 +164,7 @@ fn run_trial(w: &Workload) -> Trial {
     drop(program);
 
     let start = Instant::now();
-    let mut network = Network::from_source(&w.source).expect("compile");
-    for (name, value) in &w.bindings {
-        network.bind(name, value.clone()).expect("bind");
-    }
+    let network = w.network();
     t.compile_ns = start.elapsed().as_nanos() as u64;
 
     let enumeration = engine_pass(&network, w, EngineKind::Enum);
@@ -253,7 +193,44 @@ fn num(n: u64) -> Json {
     Json::Num(n as f64)
 }
 
+/// `a / b`, rounded to three decimals.
+fn ratio(a: f64, b: f64) -> Json {
+    Json::Num((a / b.max(1.0) * 1000.0).round() / 1000.0)
+}
+
+/// The routing fields of a row: the exact engine `engine: "auto"` runs on
+/// `model` (planned on the optimized model when `passes` is on, as
+/// `analyze` does), its measured enumerate time, and that time over the
+/// fastest exact engine's.
+fn auto_fields(
+    model: &Model,
+    passes: bool,
+    enum_ns: u64,
+    bdd_ns: u64,
+) -> Vec<(&'static str, Json)> {
+    let optimized;
+    let planned = if passes {
+        optimized = optimize(model);
+        &optimized
+    } else {
+        model
+    };
+    let (engine, auto_ns) = match choose_exact(planned) {
+        EngineKind::Bdd => ("bdd", bdd_ns),
+        _ => ("enum", enum_ns),
+    };
+    vec![
+        ("auto_engine", Json::Str(engine.to_string())),
+        ("auto_enumerate_ns", num(auto_ns)),
+        (
+            "auto_vs_best",
+            ratio(auto_ns as f64, enum_ns.min(bdd_ns) as f64),
+        ),
+    ]
+}
+
 fn bench_workload(w: &Workload, trials: usize) -> Json {
+    let network = w.network();
     let runs: Vec<Trial> = (0..trials).map(|_| run_trial(w)).collect();
     let digest = runs[0].answer_digest;
     assert!(
@@ -297,9 +274,9 @@ fn bench_workload(w: &Workload, trials: usize) -> Json {
     }
     // Headline ratio: enumeration median over diagram median. `run_trial`
     // already asserted the digests match, so this compares like for like.
-    let enum_med = median(runs.iter().map(|t| t.enumerate_ns).collect()) as f64;
-    let bdd_med = median(runs.iter().map(|t| t.bdd_enumerate_ns).collect()).max(1) as f64;
-    Json::obj(vec![
+    let enum_med = median(runs.iter().map(|t| t.enumerate_ns).collect());
+    let bdd_med = median(runs.iter().map(|t| t.bdd_enumerate_ns).collect());
+    let mut row = vec![
         ("name", Json::Str(w.name.to_string())),
         ("phases", Json::obj(phases)),
         (
@@ -310,11 +287,10 @@ fn bench_workload(w: &Workload, trials: usize) -> Json {
             ]),
         ),
         ("answer_digest", Json::Str(format!("{digest:016x}"))),
-        (
-            "bdd_speedup",
-            Json::Num((enum_med / bdd_med * 1000.0).round() / 1000.0),
-        ),
-    ])
+        ("bdd_speedup", ratio(enum_med as f64, bdd_med as f64)),
+    ];
+    row.extend(auto_fields(network.model(), true, enum_med, bdd_med));
+    Json::obj(row)
 }
 
 /// The parameter-sweep workload: a 16-point grid over the threshold
@@ -411,7 +387,7 @@ fn bench_sweep(trials: usize) -> Json {
         ("answer_digest", Json::Str(format!("{digest:016x}"))),
         (
             "sweep_speedup",
-            Json::Num((pointwise_med as f64 / sweep_med.max(1) as f64 * 1000.0).round() / 1000.0),
+            ratio(pointwise_med as f64, sweep_med as f64),
         ),
     ])
 }
@@ -421,13 +397,15 @@ fn bench_sweep(trials: usize) -> Json {
 /// with it on (symmetry canonicalization merges the three interchangeable
 /// peers' frontier states; the group has order 6). The rendered answers
 /// plus Z/discarded digests are asserted identical every trial, so
-/// `opt_speedup` compares bit-identical posteriors.
+/// `opt_speedup` compares bit-identical posteriors. The unoptimized model
+/// is also enumerated by the diagram backend, because that is where bdd
+/// still wins: this row's routing fields plan the unoptimized model (a
+/// `"passes": false` request), the one case the planner sends to bdd.
 fn bench_opt(trials: usize) -> Json {
-    let w = curated("gossip_k4_noopt_vs_opt", "gossip_k4.bay");
-    let network = Network::from_source(&w.source).expect("compile");
-    let timed_pass = |passes: bool| -> (u64, u64) {
+    let network = curated("gossip_k4_noopt_vs_opt", "gossip_k4.bay").network();
+    let timed_pass = |passes: bool, engine: EngineKind| -> (u64, u64) {
         let opts = ExactOptions {
-            engine: EngineKind::Enum,
+            engine,
             passes,
             ..ExactOptions::default()
         };
@@ -451,16 +429,23 @@ fn bench_opt(trials: usize) -> Json {
     };
 
     let mut noopt_runs = Vec::new();
+    let mut noopt_bdd_runs = Vec::new();
     let mut opt_runs = Vec::new();
     let mut digest = 0u64;
     for trial in 0..trials {
-        let (noopt_ns, noopt_digest) = timed_pass(false);
-        let (opt_ns, opt_digest) = timed_pass(true);
+        let (noopt_ns, noopt_digest) = timed_pass(false, EngineKind::Enum);
+        let (noopt_bdd_ns, noopt_bdd_digest) = timed_pass(false, EngineKind::Bdd);
+        let (opt_ns, opt_digest) = timed_pass(true, EngineKind::Enum);
         assert_eq!(
             noopt_digest, opt_digest,
             "gossip_k4_noopt_vs_opt: optimized posterior diverges"
         );
+        assert_eq!(
+            noopt_digest, noopt_bdd_digest,
+            "gossip_k4_noopt_vs_opt: enum and bdd posteriors diverge"
+        );
         noopt_runs.push(noopt_ns);
+        noopt_bdd_runs.push(noopt_bdd_ns);
         opt_runs.push(opt_ns);
         if trial == 0 {
             digest = opt_digest;
@@ -473,22 +458,28 @@ fn bench_opt(trials: usize) -> Json {
     }
 
     let noopt_med = median(noopt_runs);
+    let noopt_bdd_med = median(noopt_bdd_runs);
     let opt_med = median(opt_runs);
-    Json::obj(vec![
+    let mut row = vec![
         ("name", Json::Str("gossip_k4_noopt_vs_opt".to_string())),
         (
             "phases",
             Json::obj(vec![
                 ("noopt_enumerate_ns", num(noopt_med)),
+                ("noopt_bdd_enumerate_ns", num(noopt_bdd_med)),
                 ("opt_enumerate_ns", num(opt_med)),
             ]),
         ),
         ("answer_digest", Json::Str(format!("{digest:016x}"))),
-        (
-            "opt_speedup",
-            Json::Num((noopt_med as f64 / opt_med.max(1) as f64 * 1000.0).round() / 1000.0),
-        ),
-    ])
+        ("opt_speedup", ratio(noopt_med as f64, opt_med as f64)),
+    ];
+    row.extend(auto_fields(
+        network.model(),
+        false,
+        noopt_med,
+        noopt_bdd_med,
+    ));
+    Json::obj(row)
 }
 
 fn machine_info() -> Json {
@@ -538,10 +529,7 @@ fn comparison(current: &Json, baseline: &Json) -> Json {
                 ("name", Json::Str(name.to_string())),
                 ("baseline_enumerate_ns", Json::Num(before)),
                 ("enumerate_ns", Json::Num(now)),
-                (
-                    "speedup",
-                    Json::Num((before / now * 1000.0).round() / 1000.0),
-                ),
+                ("speedup", ratio(before, now)),
             ]));
         }
     }
@@ -587,7 +575,7 @@ fn main() {
     }
     assert!(trials >= 1, "--trials must be at least 1");
 
-    let ws = workloads(quick);
+    let ws = workloads::regress(quick);
     let mut rows = Vec::new();
     for w in &ws {
         eprintln!("regress: {} ({} trials)...", w.name, trials);
@@ -632,7 +620,9 @@ fn main() {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read check baseline {path}: {e}"));
         let baseline = parse_json(&text).expect("check baseline is not valid JSON");
-        if !check_against(&report, &baseline) {
+        // Run both gates so one failure does not hide the other.
+        let routed = check_routing(&report);
+        if !(check_against(&report, &baseline) && routed) {
             std::process::exit(1);
         }
     }
@@ -665,6 +655,7 @@ fn check_against(current: &Json, baseline: &Json) -> bool {
                 "sweep_ns",
                 "pointwise_ns",
                 "noopt_enumerate_ns",
+                "noopt_bdd_enumerate_ns",
                 "opt_enumerate_ns",
             ] {
                 let (Some(now), Some(before)) =
@@ -686,4 +677,46 @@ fn check_against(current: &Json, baseline: &Json) -> bool {
         "check: no comparable workloads between current run and baseline"
     );
     gate::verdict(&rows, gate::tolerance(), "ns")
+}
+
+/// The routing gate: on every row that records one, `auto_vs_best` may be
+/// at most [`MAX_AUTO_VS_BEST`]. Both timings come from the same run, so
+/// the gate needs no baseline and holds on any host class. Rows whose
+/// auto-routed time is under the noise floor are printed but not gated: a
+/// sub-10 ms run is too short for a ratio of two single-host medians to
+/// mean anything.
+fn check_routing(report: &Json) -> bool {
+    let mut failures = 0usize;
+    for w in report
+        .get("workloads")
+        .and_then(Json::as_arr)
+        .into_iter()
+        .flatten()
+    {
+        let field = |key: &str| w.get(key);
+        let (Some(engine), Some(vs_best), Some(auto_ns)) = (
+            field("auto_engine").and_then(Json::as_str),
+            field("auto_vs_best").and_then(Json::as_f64),
+            field("auto_enumerate_ns").and_then(Json::as_f64),
+        ) else {
+            continue;
+        };
+        let name = field("name").and_then(Json::as_str).unwrap_or("");
+        let status = if auto_ns < gate::MIN_GATED_NS {
+            "ungated (below noise floor)"
+        } else if vs_best > MAX_AUTO_VS_BEST {
+            failures += 1;
+            "FAIL"
+        } else {
+            "ok"
+        };
+        eprintln!("check: {name:40} auto={engine:4} auto_vs_best {vs_best:>6.3} {status}");
+    }
+    if failures > 0 {
+        eprintln!(
+            "check: FAILED — auto routes {failures} workload(s) to an engine more than \
+             {MAX_AUTO_VS_BEST}x slower than the fastest"
+        );
+    }
+    failures == 0
 }

@@ -5,6 +5,8 @@
 //! `ablations`. The Criterion benches in `benches/` measure the same
 //! workloads for performance tracking.
 
+pub mod workloads;
+
 use std::time::{Duration, Instant};
 
 use bayonet::{Error, Network};

@@ -202,8 +202,9 @@ fn serve_rejects_bad_flags() {
 
 #[test]
 fn run_auto_engine_routes_and_explains() {
-    // gossip_k4 routes to the BDD backend; the posterior matches the
-    // explicit run bit for bit and the plan goes to stderr only.
+    // gossip_k4 routes to enumeration (its symmetry group leaves the BDD
+    // backend nothing to share); the posterior matches the explicit run
+    // bit for bit and the plan goes to stderr only.
     let (ok, stdout, stderr) = cli(&[
         "run",
         &bay_file("gossip_k4.bay"),
@@ -214,9 +215,23 @@ fn run_auto_engine_routes_and_explains() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("94/27"), "{stdout}");
     assert!(!stdout.contains("plan:"), "{stdout}");
-    assert!(stderr.contains("plan: engine=bdd"), "{stderr}");
+    assert!(stderr.contains("plan: engine=enum"), "{stderr}");
     assert!(stderr.contains("est_cost="), "{stderr}");
     assert!(stderr.contains("shared_program_nodes="), "{stderr}");
+
+    // Without the passes nothing merges symmetric states, and the BDD
+    // backend's program sharing wins.
+    let (ok, stdout, stderr) = cli(&[
+        "run",
+        &bay_file("gossip_k4.bay"),
+        "--engine",
+        "auto",
+        "--no-opt",
+        "--explain-plan",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("94/27"), "{stdout}");
+    assert!(stderr.contains("plan: engine=bdd"), "{stderr}");
 
     // --explain-plan also works with an explicit engine and never changes
     // what actually runs.
@@ -224,12 +239,12 @@ fn run_auto_engine_routes_and_explains() {
         "run",
         &bay_file("gossip_k4.bay"),
         "--engine",
-        "enum",
+        "bdd",
         "--explain-plan",
     ]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("94/27"), "{stdout}");
-    assert!(stderr.contains("plan: engine=bdd"), "{stderr}");
+    assert!(stderr.contains("plan: engine=enum"), "{stderr}");
 }
 
 #[test]

@@ -18,12 +18,22 @@
 //!   (the program's `num_steps`, else `4·nodes + 2` — the paper's generated
 //!   programs use horizons linear in the node count), and each expansion
 //!   costs a calibrated constant (~10 µs on the reference host).
-//! * **BDD** (knowledge compilation) wins when nodes share a program: the
-//!   diagram represents the symmetric product once. The calibrated speedup
-//!   over enumeration is approximately the size of the largest group of
-//!   nodes sharing one [`CompiledProgram`], paid for with a constant
-//!   compilation overhead — so tiny programs route to enumeration even when
-//!   symmetric. The backend packs per-node flags into a `u128`, so models
+//!   When the pass pipeline found a topology symmetry group that the
+//!   engines can canonicalize with, the estimate is divided by its order.
+//!   When at most one packet is ever in flight, the scheduler has one
+//!   enabled action per step and does not branch at all.
+//! * **BDD** (knowledge compilation) wins when nodes share a program and
+//!   enumeration does not already exploit that sharing: the diagram
+//!   represents the symmetric product once. The calibrated speedup over
+//!   enumeration is approximately the size of the largest group of nodes
+//!   sharing one [`CompiledProgram`](bayonet_net::CompiledProgram), paid
+//!   for with a constant compilation overhead — so tiny programs route to
+//!   enumeration even when symmetric. Both engines canonicalize by the same
+//!   symmetry orbits, so once a group applies, bdd gets no discount: the
+//!   sharing it would exploit is already gone from enumeration's frontier
+//!   (the `regress` bench measures enumeration 2–3× faster there). Nor
+//!   does it get one under a deterministic or rotor scheduler, which never
+//!   splits mass. The backend packs per-node flags into a `u128`, so models
 //!   with more than 64 nodes are never routed to it.
 //! * **SMC** cost is linear: `particles × horizon × nodes` simulation steps.
 //!   Rather than the paper's fixed 1000 particles, the planner picks an
@@ -44,9 +54,9 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use bayonet_net::opt::model_facts;
-use bayonet_net::{Model, SchedKind};
+use bayonet_net::{scheduler_for, Model, SchedKind};
 
-use crate::engine::EngineKind;
+use crate::engine::{symmetry_for, EngineKind};
 
 /// Damping exponent applied to the raw per-step branching product:
 /// configuration merging absorbs most of the raw growth. Fitted on the
@@ -157,7 +167,8 @@ pub struct PlanSignals {
     pub uniform_sites: usize,
     /// `dup` sites (each grows queue occupancy, lengthening the run).
     pub dup_sites: usize,
-    /// Scheduler branching factor (probabilistic schedulers split mass).
+    /// Scheduler branching factor (probabilistic schedulers split mass;
+    /// 1 when at most one packet is ever in flight).
     pub sched_branching: f64,
     /// Mean complete-execution count of one handler run (flip ×2,
     /// uniform ×span, averaged over nodes).
@@ -168,15 +179,12 @@ pub struct PlanSignals {
     /// Size of the largest group of nodes sharing one program `Arc` — the
     /// symmetry the BDD backend exploits (0 when no sharing).
     pub shared_program_nodes: usize,
-    /// Order of the model's automorphism group, from the pass pipeline
-    /// (1 when the model is unoptimized or the group is trivial). Orbit
+    /// Order of the automorphism group both exact engines canonicalize
+    /// frontier states with: 1 when the model is unoptimized, the group is
+    /// trivial, or the engines cannot use it (unbound symbolic parameters
+    /// or a scheduler that is not permutation-invariant). Orbit
     /// canonicalization divides the explored frontier by up to this factor.
     pub symmetry_group_order: u64,
-    /// Size of the largest node orbit under that group (0 when trivial).
-    /// When present this replaces the Arc-sharing heuristic as the BDD
-    /// backend's structure-sharing signal: it is the *proven* count of
-    /// interchangeable nodes, not a syntactic proxy.
-    pub symmetry_largest_orbit: usize,
     /// Whether unbound symbolic parameters remain (rules out SMC).
     pub symbolic_params: bool,
 }
@@ -193,8 +201,9 @@ pub struct Plan {
     pub est_cost_ns: u64,
     /// Estimated enumeration cost, in nanoseconds.
     pub est_enum_ns: u64,
-    /// Estimated BDD cost; `None` when the backend is ineligible
-    /// (>64 nodes, or no program sharing to exploit).
+    /// Estimated BDD cost; `None` when the backend is ineligible (>64
+    /// nodes, or no program sharing that enumeration does not already
+    /// exploit through symmetry canonicalization).
     pub est_bdd_ns: Option<u64>,
     /// Estimated SMC cost; `None` when symbolic parameters rule it out.
     pub est_smc_ns: Option<u64>,
@@ -245,8 +254,7 @@ impl Plan {
             "  signals: nodes={} links={} queue_capacity={} horizon={} \
              flips={} uniforms={} dups={} sched_branching={:.1} \
              handler_branching={:.2} effective_branching={:.3} \
-             shared_program_nodes={} symmetry_order={} symmetry_orbit={} \
-             symbolic_params={}",
+             shared_program_nodes={} symmetry_order={} symbolic_params={}",
             s.nodes,
             s.links,
             s.queue_capacity,
@@ -259,7 +267,6 @@ impl Plan {
             s.effective_branching,
             s.shared_program_nodes,
             s.symmetry_group_order,
-            s.symmetry_largest_orbit,
             s.symbolic_params,
         );
         let _ = writeln!(
@@ -294,22 +301,23 @@ fn fmt_ns(ns: u64) -> String {
 /// pipeline — extraction is then a field read, fixing the old
 /// plan-then-analyze double traversal. Unoptimized models fall back to
 /// [`model_facts`], the *same* implementation the pipeline uses, so the
-/// two paths cannot diverge.
+/// two paths cannot diverge. The symmetry signal goes through the same
+/// gate the engines use ([`crate::engine::symmetry_for`]), so the planner
+/// discounts exactly the canonicalization that will happen.
 pub fn extract_signals(model: &Model) -> PlanSignals {
     let nodes = model.num_nodes();
     let fallback;
-    let (facts, symmetry) = match model.opt_info() {
-        Some(info) => (&info.facts, info.symmetry.as_ref()),
+    let facts = match model.opt_info() {
+        Some(info) => &info.facts,
         None => {
             fallback = model_facts(model);
-            (&fallback, None)
+            &fallback
         }
     };
-    let (symmetry_group_order, symmetry_largest_orbit) = match symmetry {
-        Some(g) => (g.order() as u64, g.largest_orbit()),
-        None => (1, 0),
-    };
+    let symmetry_group_order =
+        symmetry_for(model, &*scheduler_for(model)).map_or(1, |g| g.order() as u64);
     let sched_branching = match model.scheduler {
+        _ if facts.single_packet => 1.0,
         SchedKind::Uniform | SchedKind::Weighted(_) => 2.0,
         SchedKind::Deterministic | SchedKind::Rotor => 1.0,
     };
@@ -327,7 +335,6 @@ pub fn extract_signals(model: &Model) -> PlanSignals {
         effective_branching: (sched_branching * handler_branching).powf(ALPHA).max(1.0),
         shared_program_nodes: facts.shared_program_nodes,
         symmetry_group_order,
-        symmetry_largest_orbit,
         symbolic_params: model.has_symbolic_params(),
     }
 }
@@ -362,10 +369,14 @@ pub fn plan_model(model: &Model, cfg: &PlannerConfig, budget: Option<Duration>) 
     let est_enum_ns = (est_expansions * cfg.ns_per_expansion as f64).min(1e18) as u64;
 
     // BDD: eligible under the u128 packing bound and only worth the base
-    // overhead when there is structure sharing to exploit. A proven orbit
-    // from the pass pipeline overrides the Arc-sharing proxy.
-    let shared = if signals.symmetry_largest_orbit >= 2 {
-        signals.symmetry_largest_orbit
+    // overhead when there is structure sharing that enumeration does not
+    // already exploit. Both engines canonicalize by the same orbits, so a
+    // symmetry group leaves bdd nothing to share; and a scheduler that
+    // never splits mass leaves it nothing to gain (measured 2.5× slower on
+    // `regress`'s deterministic congestion chain).
+    let splits_mass = matches!(model.scheduler, SchedKind::Uniform | SchedKind::Weighted(_));
+    let shared = if signals.symmetry_group_order > 1 || !splits_mass {
+        0
     } else {
         signals.shared_program_nodes
     };

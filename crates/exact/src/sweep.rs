@@ -86,8 +86,9 @@ pub struct SweepPointResult {
 pub struct SweepResult {
     /// The sharing route taken.
     pub route: SweepRoute,
-    /// The backend that ran (after `Auto` resolution on the bound model —
-    /// the same resolution a pointwise run would perform).
+    /// The backend that ran. `Auto` resolves to enumeration for a grid of
+    /// more than one point, and on the bound model (as a pointwise run
+    /// would) for a single point.
     pub engine: EngineKind,
     /// Statistics of the work done once and shared by every point: the
     /// symbolic run ([`SweepRoute::Symbolic`]) or the shared prefix
@@ -167,9 +168,12 @@ pub fn sweep(
     };
     let scheduler = scheduler_for(&base);
 
-    // Resolve `Auto` exactly as a pointwise run would: on the bound model.
-    // Binding structure is identical across points, so the choice is too.
+    // Resolve `Auto`. Only enumeration has shared routes, and sharing one
+    // exploration across the grid beats any per-point engine choice, so a
+    // grid of more than one point always enumerates. A single point plans
+    // exactly as a pointwise run would: on the bound model.
     let engine = match opts.engine {
+        EngineKind::Auto if points.len() > 1 => EngineKind::Enum,
         EngineKind::Auto => {
             let mut bound0 = base.clone();
             if let Some(first) = points.first() {

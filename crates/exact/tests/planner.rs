@@ -7,15 +7,20 @@
 //! not clairvoyant: it systematically overestimates small state spaces
 //! (merging is most effective there), so the tolerance is wide but the
 //! *routing* — the thing posteriors and deadlines depend on — is pinned
-//! exactly.
+//! exactly. Every pinned route is the engine the `regress` bench measures
+//! fastest; `crates/bench/tests/routing.rs` checks the planner against the
+//! committed bench report itself.
 
 use std::time::Duration;
 
 use bayonet_exact::{
-    analyze, plan_model, EngineKind, ExactOptions, PlanDecision, PlanEngine, PlannerConfig,
+    analyze, answer, plan_model, sweep, EngineKind, ExactOptions, PlanDecision, PlanEngine,
+    PlannerConfig, SweepRoute,
 };
 use bayonet_lang::parse;
+use bayonet_net::opt::optimize;
 use bayonet_net::{compile, scheduler_for, Model};
+use bayonet_num::Rat;
 
 mod common;
 
@@ -110,9 +115,29 @@ fn model_of(source: &str) -> Model {
     compile(&parse(source).expect("parse")).expect("compile")
 }
 
+fn example(file: &str) -> String {
+    std::fs::read_to_string(format!(
+        "{}/../../examples/bay/{file}",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .unwrap_or_else(|e| panic!("read {file}: {e}"))
+}
+
+/// `fattree_k4.bay` with its loss rate bound, as `run_miss` sends it.
+fn fattree_k4() -> Model {
+    let mut model = model_of(&example("fattree_k4.bay"));
+    model
+        .bind_param("P_LOSS", Rat::ratio(1, 10))
+        .expect("bind P_LOSS");
+    model
+}
+
+/// Expansions of `model` exactly as planned: optimized rows already carry
+/// their pass results, and unoptimized rows must not be optimized here.
 fn measured_expansions(model: &Model, engine: EngineKind) -> u64 {
     let opts = ExactOptions {
         engine,
+        passes: false,
         ..ExactOptions::default()
     };
     let analysis = analyze(model, &*scheduler_for(model), &opts).expect("analyze");
@@ -124,44 +149,68 @@ fn measured_expansions(model: &Model, engine: EngineKind) -> u64 {
 /// profile (`measure: false` rows pin routing only; gossip_k5 enumerates
 /// half a million configurations, which the release-mode `regress` harness
 /// times instead).
+///
+/// Unoptimized gossip routes to bdd: nothing merges symmetric states
+/// there, and the diagram backend's program sharing wins (`regress`'s
+/// `gossip_k4_noopt_vs_opt` row). The optimized models route to
+/// enumeration: both engines canonicalize by the same symmetry orbits, and
+/// enumeration is then the faster one.
 #[test]
 fn golden_table_pins_routing_and_cost_accuracy() {
     struct Row {
         name: &'static str,
-        source: String,
+        model: Model,
         expect: PlanEngine,
         measure: bool,
     }
     let rows = [
         Row {
             name: "tiny",
-            source: TINY.to_string(),
+            model: model_of(TINY),
             expect: PlanEngine::Enum,
             measure: true,
         },
         Row {
             name: "gossip_k4",
-            source: gossip_source(4),
+            model: model_of(&gossip_source(4)),
             expect: PlanEngine::Bdd,
             measure: true,
         },
         Row {
             name: "gossip_k5",
-            source: gossip_source(5),
+            model: model_of(&gossip_source(5)),
             expect: PlanEngine::Bdd,
             measure: false,
         },
         Row {
+            name: "gossip_k4_optimized",
+            model: optimize(&model_of(&gossip_source(4))),
+            expect: PlanEngine::Enum,
+            measure: true,
+        },
+        Row {
+            name: "gossip_k5_optimized",
+            model: optimize(&model_of(&gossip_source(5))),
+            expect: PlanEngine::Enum,
+            measure: false,
+        },
+        Row {
+            name: "fattree_k4_optimized",
+            model: optimize(&fattree_k4()),
+            expect: PlanEngine::Enum,
+            measure: true,
+        },
+        Row {
             name: "chain_70_fallback",
-            source: chain_source(70),
+            model: model_of(&chain_source(70)),
             expect: PlanEngine::Enum,
             measure: true,
         },
     ];
     let cfg = PlannerConfig::default();
     for row in &rows {
-        let model = model_of(&row.source);
-        let plan = plan_model(&model, &cfg, None);
+        let model = &row.model;
+        let plan = plan_model(model, &cfg, None);
         assert_eq!(
             plan.engine(),
             Some(row.expect),
@@ -189,7 +238,7 @@ fn golden_table_pins_routing_and_cost_accuracy() {
                 PlanEngine::Bdd => EngineKind::Bdd,
                 _ => EngineKind::Enum,
             };
-            let measured = measured_expansions(&model, engine).max(1);
+            let measured = measured_expansions(model, engine).max(1);
             let ratio = plan.est_expansions as f64 / measured as f64;
             assert!(
                 (1.0 / COST_FACTOR..=COST_FACTOR).contains(&ratio),
@@ -238,6 +287,49 @@ fn auto_engine_matches_explicit_choice() {
         assert_eq!(auto.discarded, explicit.discarded);
         assert_eq!(auto.stats.steps, explicit.stats.steps);
         assert_eq!(auto.stats.expansions, explicit.stats.expansions);
+    }
+}
+
+/// A multi-point `auto` sweep takes a shared route — only enumeration has
+/// one — with the passes on and off, and every point matches an
+/// independent auto-routed pointwise run.
+#[test]
+fn auto_sweep_takes_a_shared_route() {
+    let model = model_of(&example("gossip_k4_sweep.bay"));
+    let k = model.params.lookup("K").expect("K is declared");
+    let points: Vec<Vec<Rat>> = (1..=4).map(|k| vec![Rat::int(k)]).collect();
+    for passes in [true, false] {
+        let opts = ExactOptions {
+            engine: EngineKind::Auto,
+            passes,
+            ..ExactOptions::default()
+        };
+        let result = sweep(&model, &[k], &points, &opts).expect("sweep");
+        assert!(
+            matches!(result.route, SweepRoute::Symbolic | SweepRoute::Prefix),
+            "passes={passes}: auto sweep fell to {:?}",
+            result.route
+        );
+        assert_eq!(result.engine, EngineKind::Enum, "passes={passes}");
+        for (point, got) in points.iter().zip(&result.points) {
+            let got = got.as_ref().expect("sweep point");
+            let mut bound = model.clone();
+            bound.bind_param("K", point[0].clone()).expect("bind K");
+            let analysis = analyze(&bound, &*scheduler_for(&bound), &opts).expect("pointwise");
+            let want: Vec<String> = bound
+                .queries
+                .iter()
+                .map(|q| {
+                    answer(&bound, &analysis, q, opts.fm_pruning)
+                        .expect("answer")
+                        .to_string()
+                })
+                .collect();
+            let got_rendered: Vec<String> = got.results.iter().map(|r| r.to_string()).collect();
+            assert_eq!(got_rendered, want, "passes={passes}, point {point:?}");
+            assert_eq!(got.z, analysis.total_terminal_mass());
+            assert_eq!(got.discarded, analysis.total_discarded_mass());
+        }
     }
 }
 

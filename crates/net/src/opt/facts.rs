@@ -30,6 +30,11 @@ pub struct ModelFacts {
     /// Size of the largest group of nodes sharing one program `Arc`
     /// (0 when every node has a private program).
     pub shared_program_nodes: usize,
+    /// At most one packet is ever in flight: one `init` packet, no `new`
+    /// or `dup`, and at most one `fwd` on every handler path. The
+    /// scheduler then never has more than one enabled action to split
+    /// mass over.
+    pub single_packet: bool,
 }
 
 #[derive(Default)]
@@ -110,6 +115,22 @@ fn stmts_branches(stmts: &[CStmt], t: &mut SiteTally) -> f64 {
     product
 }
 
+/// Upper bound on the packets one run of `stmts` can emit, saturating at 2
+/// ("more than one"). `new` and `dup` create packets, so they saturate too.
+fn max_emitted(stmts: &[CStmt]) -> u32 {
+    stmts
+        .iter()
+        .map(|s| match s {
+            CStmt::Fwd(_) => 1,
+            CStmt::New | CStmt::Dup => 2,
+            CStmt::If(_, then_b, else_b) => max_emitted(then_b).max(max_emitted(else_b)),
+            // A loop may run its body more than once.
+            CStmt::While(_, body) => 2 * max_emitted(body),
+            _ => 0,
+        })
+        .fold(0, |acc, n| (acc + n).min(2))
+}
+
 /// Size of the largest group of nodes sharing one `CompiledProgram` `Arc`.
 fn shared_program_nodes(model: &Model) -> usize {
     let mut best = 0usize;
@@ -155,5 +176,7 @@ pub fn model_facts(model: &Model) -> ModelFacts {
         dup_sites: tally.dups,
         handler_branching,
         shared_program_nodes: shared_program_nodes(model),
+        single_packet: model.init_packets.len() <= 1
+            && model.programs.iter().all(|p| max_emitted(&p.body) <= 1),
     }
 }

@@ -119,15 +119,6 @@ impl SymmetryGroup {
         orbits.into_values().collect()
     }
 
-    /// Size of the largest node orbit (the planner's symmetry signal).
-    pub fn largest_orbit(&self) -> usize {
-        self.orbits()
-            .into_iter()
-            .map(|o| o.len())
-            .max()
-            .unwrap_or(1)
-    }
-
     /// Replaces `cfg` with the lexicographically smallest configuration in
     /// its orbit. Returns whether `cfg` changed (i.e. it was not already
     /// the orbit representative) — the engines' `orbit_merges` counter.

@@ -10,11 +10,22 @@ mod common;
 use common::{http, metric, metrics, parse_frames, post_batch, GOSSIP_K4, TINY};
 
 const TTL_TRIANGLE: &str = include_str!("../../../examples/bay/ttl_triangle.bay");
+const FATTREE_K4: &str = include_str!("../../../examples/bay/fattree_k4.bay");
 
 fn run_auto(source: &str) -> String {
     Json::obj(vec![
         ("source", Json::Str(source.into())),
         ("engine", Json::Str("auto".into())),
+    ])
+    .to_string()
+}
+
+/// An auto request with the pass pipeline turned off.
+fn run_auto_no_passes(source: &str) -> String {
+    Json::obj(vec![
+        ("source", Json::Str(source.into())),
+        ("engine", Json::Str("auto".into())),
+        ("passes", Json::Bool(false)),
     ])
     .to_string()
 }
@@ -28,9 +39,10 @@ fn engine_of(body: &str) -> String {
         .to_string()
 }
 
-/// Auto routes the tiny program to plain enumeration and gossip on K4 to
-/// the BDD backend, with both decisions and the predicted-vs-actual cost
-/// ratio visible on `/metrics`.
+/// Auto routes the tiny program and gossip on K4 to plain enumeration, and
+/// gossip on K4 without the passes to the BDD backend: with no symmetry
+/// canonicalization the diagram's program sharing wins. Every decision and
+/// the predicted-vs-actual cost ratio are visible on `/metrics`.
 #[test]
 fn auto_routes_by_cost_and_reports_decisions() {
     let handle = start(common::test_config()).expect("start server");
@@ -42,12 +54,16 @@ fn auto_routes_by_cost_and_reports_decisions() {
 
     let (status, _, gossip) = http(addr, "POST", "/v1/run", &run_auto(GOSSIP_K4));
     assert_eq!(status, 200, "{gossip}");
-    assert_eq!(engine_of(&gossip), "bdd");
+    assert_eq!(engine_of(&gossip), "exact");
+
+    let (status, _, unoptimized) = http(addr, "POST", "/v1/run", &run_auto_no_passes(GOSSIP_K4));
+    assert_eq!(status, 200, "{unoptimized}");
+    assert_eq!(engine_of(&unoptimized), "bdd");
 
     let text = metrics(addr);
     assert_eq!(
         metric(&text, r#"bayonet_planner_decisions_total{engine="exact"}"#),
-        1,
+        2,
         "{text}"
     );
     assert_eq!(
@@ -56,9 +72,9 @@ fn auto_routes_by_cost_and_reports_decisions() {
         "{text}"
     );
     assert_eq!(metric(&text, "bayonet_planner_rejections_total"), 0);
-    // Both runs missed the cache, so both recorded an actual/predicted
+    // Every run missed the cache, so each recorded an actual/predicted
     // wall-clock ratio.
-    assert_eq!(metric(&text, "bayonet_planner_cost_ratio_count"), 2);
+    assert_eq!(metric(&text, "bayonet_planner_cost_ratio_count"), 3);
     assert!(
         common::metric_value(&text, "bayonet_planner_cost_ratio_sum") > 0.0,
         "{text}"
@@ -74,7 +90,7 @@ fn auto_posterior_is_bit_identical_to_explicit_engine() {
     let auto_server = start(common::test_config()).expect("start auto server");
     let explicit_server = start(common::test_config()).expect("start explicit server");
 
-    for (source, engine) in [(TINY, "exact"), (GOSSIP_K4, "bdd")] {
+    for (source, engine) in [(TINY, "exact"), (GOSSIP_K4, "exact")] {
         let (status, _, auto_body) = http(auto_server.addr(), "POST", "/v1/run", &run_auto(source));
         assert_eq!(status, 200, "{auto_body}");
         let explicit = Json::obj(vec![
@@ -159,9 +175,9 @@ fn over_budget_auto_request_gets_structured_422_before_engine_work() {
 /// must occupy one cache entry, whichever arrives first.
 #[test]
 fn auto_and_explicit_share_one_cache_entry_both_orders() {
-    let explicit_bdd = Json::obj(vec![
+    let explicit = Json::obj(vec![
         ("source", Json::Str(GOSSIP_K4.into())),
-        ("engine", Json::Str("bdd".into())),
+        ("engine", Json::Str("exact".into())),
     ])
     .to_string();
 
@@ -169,7 +185,7 @@ fn auto_and_explicit_share_one_cache_entry_both_orders() {
     let handle = start(common::test_config()).expect("start server");
     let (status, _, first) = http(handle.addr(), "POST", "/v1/run", &run_auto(GOSSIP_K4));
     assert_eq!(status, 200, "{first}");
-    let (status, _, second) = http(handle.addr(), "POST", "/v1/run", &explicit_bdd);
+    let (status, _, second) = http(handle.addr(), "POST", "/v1/run", &explicit);
     assert_eq!(status, 200, "{second}");
     assert_eq!(first, second);
     let text = metrics(handle.addr());
@@ -179,7 +195,7 @@ fn auto_and_explicit_share_one_cache_entry_both_orders() {
 
     // Order 2: explicit first, auto second.
     let handle = start(common::test_config()).expect("start server");
-    let (status, _, first) = http(handle.addr(), "POST", "/v1/run", &explicit_bdd);
+    let (status, _, first) = http(handle.addr(), "POST", "/v1/run", &explicit);
     assert_eq!(status, 200, "{first}");
     let (status, _, second) = http(handle.addr(), "POST", "/v1/run", &run_auto(GOSSIP_K4));
     assert_eq!(status, 200, "{second}");
@@ -215,7 +231,7 @@ fn batch_auto_items_plan_independently() {
     let gossip = Json::Str(GOSSIP_K4.into());
     let tiny = Json::Str(TINY.into());
     let batch = format!(
-        r#"{{"items":[{{"source":{gossip},"engine":"auto"}},{{"source":{gossip},"engine":"bdd"}},{{"source":{tiny},"engine":"auto"}},{{"source":{gossip},"engine":"auto","timeout_ms":1}}]}}"#,
+        r#"{{"items":[{{"source":{gossip},"engine":"auto"}},{{"source":{gossip},"engine":"exact"}},{{"source":{tiny},"engine":"auto"}},{{"source":{gossip},"engine":"auto","timeout_ms":1}}]}}"#,
     );
     let (status, payload) = post_batch(addr, &batch);
     assert_eq!(status, 200, "{payload}");
@@ -223,11 +239,11 @@ fn batch_auto_items_plan_independently() {
     assert_eq!(frames.len(), 4, "{payload}");
     frames.sort_by_key(|f| f.index);
 
-    // Item 0 (auto) and item 1 (explicit bdd) are the same cache entry.
+    // Item 0 (auto) and item 1 (explicit exact) are the same cache entry.
     assert_eq!(frames[0].status, 200, "{}", frames[0].body);
     assert_eq!(frames[1].status, 200, "{}", frames[1].body);
     assert_eq!(frames[0].body, frames[1].body);
-    assert_eq!(engine_of(&frames[0].body), "bdd");
+    assert_eq!(engine_of(&frames[0].body), "exact");
 
     // Item 2's per-item source is tiny: independent routing to exact.
     assert_eq!(frames[2].status, 200, "{}", frames[2].body);
@@ -250,16 +266,11 @@ fn batch_auto_items_plan_independently() {
     // Two distinct canonical programs, two compiles — the three gossip
     // items shared one.
     assert_eq!(metric(&text, "bayonet_batch_compiles_total"), 2, "{text}");
-    // Three auto items planned: two routed (bdd for gossip, exact for
-    // tiny), one rejected.
-    assert_eq!(
-        metric(&text, r#"bayonet_planner_decisions_total{engine="bdd"}"#),
-        1,
-        "{text}"
-    );
+    // Three auto items planned: two routed to exact (gossip and tiny),
+    // one rejected.
     assert_eq!(
         metric(&text, r#"bayonet_planner_decisions_total{engine="exact"}"#),
-        1,
+        2,
         "{text}"
     );
     assert_eq!(
@@ -325,7 +336,7 @@ fn run_and_batch_items_plan_identically() {
             .and_then(|p| p.get(key))
             .map(Json::to_string)
     };
-    for key in ["needed_ms", "est_enum_ms", "est_bdd_ms"] {
+    for key in ["needed_ms", "est_enum_ms", "est_smc_ms"] {
         assert!(plan(&run, key).is_some(), "{key} missing: {run}");
         assert_eq!(
             plan(&batch, key),
@@ -340,4 +351,31 @@ fn run_and_batch_items_plan_identically() {
     for doc in [&run, &batch] {
         assert_ne!(kind(doc).as_deref(), Some("infeasible_deadline"), "{doc}");
     }
+}
+
+/// A fat-tree flow is one packet end to end, so the scheduler never
+/// branches and the exact run is tiny (about a dozen expansions). A 50 ms
+/// budget must admit it on the exact engine, not refuse it or fall back to
+/// sampling.
+#[test]
+fn single_packet_fattree_fits_a_tight_deadline_exactly() {
+    let body = Json::obj(vec![
+        ("source", Json::Str(FATTREE_K4.into())),
+        ("engine", Json::Str("auto".into())),
+        (
+            "bindings",
+            Json::obj(vec![("P_LOSS", Json::Str("1/10".into()))]),
+        ),
+        ("timeout_ms", Json::Num(50.0)),
+    ])
+    .to_string();
+    let resp = Service::new(0).handle(&Request {
+        method: "POST".into(),
+        path: "/v1/run".into(),
+        headers: Vec::new(),
+        body: body.into_bytes(),
+    });
+    let text = String::from_utf8(resp.body).expect("utf-8 body");
+    assert_eq!(resp.status, 200, "{text}");
+    assert_eq!(engine_of(&text), "exact");
 }
