@@ -1,8 +1,8 @@
 //! Serve-core benchmark: sustained RPS and tail latency of the event-loop
-//! server, single-replica and sharded.
+//! server.
 //!
-//! Matrix: replicas ∈ {1, 4} × parked connections ∈ {0, 10 000}. The
-//! parked set models a fleet of long-lived idle clients hanging off the
+//! One server, measured at parked connections ∈ {0, 10 000}. The parked
+//! set models a fleet of long-lived idle clients hanging off the
 //! loop — real fd pressure, a real 10k-entry epoll interest table —
 //! while one measuring client drives request after request. The measured
 //! workload is a cached `/v1/run`: the engines' wall-clock is someone
@@ -26,8 +26,10 @@
 //!   --check PATH     CI regression gate: exit 1 when any matched cell's
 //!                    p99 latency regresses more than 25% (plus a 50 µs
 //!                    absolute slack) vs. the committed baseline at PATH.
-//!                    Cells are matched on (replicas, parked_connections);
-//!                    tune with BAYONET_BENCH_TOLERANCE /
+//!                    Cells are matched on (replicas, parked_connections).
+//!                    Every cell here reports `"replicas":1`, so an older
+//!                    baseline's `replicas=4` cells go unmatched. Tune
+//!                    with BAYONET_BENCH_TOLERANCE /
 //!                    BAYONET_BENCH_STRICT (see `bayonet_bench::gate`).
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -57,11 +59,9 @@ struct Server {
 }
 
 impl Server {
-    fn spawn(exe: &str, replicas: usize) -> Server {
+    fn spawn(exe: &str) -> Server {
         let mut child = Command::new(exe)
             .args([
-                "--replicas",
-                &replicas.to_string(),
                 "--threads",
                 "2",
                 "--queue",
@@ -137,7 +137,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 struct Cell {
-    replicas: usize,
     parked: usize,
     requests: u64,
     rps: f64,
@@ -148,7 +147,7 @@ struct Cell {
 }
 
 fn measure(addr: SocketAddr, body: &str, window: Duration) -> (u64, f64, Vec<u64>) {
-    // Warm: populate the result cache (and, sharded, the home replica's).
+    // Warm: populate the result cache.
     for _ in 0..3 {
         exchange(addr, body);
     }
@@ -192,45 +191,42 @@ fn main() {
         .to_string();
 
     let mut cells: Vec<Cell> = Vec::new();
-    for replicas in [1usize, 4] {
-        let server = Server::spawn(&exe, replicas);
-        for parked in [0usize, parked_high] {
-            // Park the idle fleet, then give the loop a beat to accept it.
-            let held: Vec<TcpStream> = (0..parked)
-                .map(|i| {
-                    TcpStream::connect(server.addr)
-                        .unwrap_or_else(|e| panic!("parked connect {i}: {e}"))
-                })
-                .collect();
-            if parked > 0 {
-                std::thread::sleep(Duration::from_millis(500));
-            }
-            let (requests, rps, lat) = measure(server.addr, &body, window);
-            eprintln!(
-                "replicas={replicas} parked={parked}: {requests} requests, {rps:.0} rps, p99 {} us",
-                percentile(&lat, 0.99)
-            );
-            cells.push(Cell {
-                replicas,
-                parked,
-                requests,
-                rps,
-                p50_us: percentile(&lat, 0.50),
-                p90_us: percentile(&lat, 0.90),
-                p99_us: percentile(&lat, 0.99),
-                max_us: lat.last().copied().unwrap_or(0),
-            });
-            drop(held);
+    let server = Server::spawn(&exe);
+    for parked in [0usize, parked_high] {
+        // Park the idle fleet, then give the loop a beat to accept it.
+        let held: Vec<TcpStream> = (0..parked)
+            .map(|i| {
+                TcpStream::connect(server.addr)
+                    .unwrap_or_else(|e| panic!("parked connect {i}: {e}"))
+            })
+            .collect();
+        if parked > 0 {
+            std::thread::sleep(Duration::from_millis(500));
         }
-        server.stop();
+        let (requests, rps, lat) = measure(server.addr, &body, window);
+        eprintln!(
+            "parked={parked}: {requests} requests, {rps:.0} rps, p99 {} us",
+            percentile(&lat, 0.99)
+        );
+        cells.push(Cell {
+            parked,
+            requests,
+            rps,
+            p50_us: percentile(&lat, 0.50),
+            p90_us: percentile(&lat, 0.90),
+            p99_us: percentile(&lat, 0.99),
+            max_us: lat.last().copied().unwrap_or(0),
+        });
+        drop(held);
     }
+    server.stop();
 
     let cells_json: Vec<String> = cells
         .iter()
         .map(|c| {
             format!(
-                r#"{{"replicas":{},"parked_connections":{},"requests":{},"rps":{:.1},"latency_us":{{"p50":{},"p90":{},"p99":{},"max":{}}}}}"#,
-                c.replicas, c.parked, c.requests, c.rps, c.p50_us, c.p90_us, c.p99_us, c.max_us
+                r#"{{"replicas":1,"parked_connections":{},"requests":{},"rps":{:.1},"latency_us":{{"p50":{},"p90":{},"p99":{},"max":{}}}}}"#,
+                c.parked, c.requests, c.rps, c.p50_us, c.p90_us, c.p99_us, c.max_us
             )
         })
         .collect();

@@ -14,9 +14,9 @@
 //! bayonet synthesize <file.bay> [--query N] [--maximize]
 //! bayonet codegen <file.bay> [--target psi|webppl]
 //! bayonet pretty <file.bay>
-//! bayonet serve [--addr A] [--threads N] [--cache-entries K]
-//!               [--cache-dir DIR] [--cache-max-bytes N]
-//!               [--replicas N] [--max-connections N]
+//! bayonet serve [--addr A] [--threads N] [--cache-entries K] [--queue N]
+//!               [--io-timeout-ms MS] [--cache-dir DIR] [--cache-max-bytes N]
+//!               [--max-connections N]
 //! ```
 
 use std::process::ExitCode;
@@ -30,11 +30,6 @@ use bayonet::{
 use bayonet_serve::{parse_json, Json, Request, Service, ServiceOptions, DEFAULT_CACHE_ENTRIES};
 
 fn main() -> ExitCode {
-    // When spawned as a `serve --replicas N` shard this process is a
-    // replica server, not a CLI: the hook detects the replica spec in the
-    // environment and never returns.
-    bayonet_serve::replica_entry();
-
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -57,9 +52,9 @@ fn usage() -> String {
                                      frame per grid point, sharing exploration work)\n\
      synthesize options: --query N  --maximize  --allow-zero-params\n\
      codegen options: --target psi|webppl\n\
-     serve options: --addr HOST:PORT  --threads N  --cache-entries K\n\
-                    --cache-dir DIR  --cache-max-bytes N\n\
-                    --replicas N  --max-connections N"
+     serve options: --addr HOST:PORT  --threads N  --cache-entries K  --queue N\n\
+                    --io-timeout-ms MS  --cache-dir DIR  --cache-max-bytes N\n\
+                    --max-connections N"
         .to_string()
 }
 
@@ -87,15 +82,6 @@ const SYNTHESIZE_FLAGS: &[(&str, bool)] = &[
 ];
 const CODEGEN_FLAGS: &[(&str, bool)] = &[("--target", true)];
 const NO_FLAGS: &[(&str, bool)] = &[];
-const SERVE_FLAGS: &[(&str, bool)] = &[
-    ("--addr", true),
-    ("--threads", true),
-    ("--cache-entries", true),
-    ("--cache-dir", true),
-    ("--cache-max-bytes", true),
-    ("--replicas", true),
-    ("--max-connections", true),
-];
 
 fn run(args: &[String]) -> Result<(), String> {
     if args.first().map(String::as_str) == Some("serve") {
@@ -555,52 +541,11 @@ fn run_frames(kind: &str, unit: &str, body: Vec<u8>, threads: usize) -> Result<(
 }
 
 fn serve_cmd(rest: &[String]) -> Result<(), String> {
-    validate_flags(rest, SERVE_FLAGS)?;
-    let mut config = bayonet_serve::ServerConfig::default();
-    if let Some(addr) = flag_value(rest, "--addr") {
-        config.addr = addr.to_string();
-    }
-    if let Some(threads) = flag_value(rest, "--threads") {
-        config.threads = threads
-            .parse()
-            .map_err(|e| format!("bad --threads value: {e}"))?;
-    }
-    if let Some(entries) = flag_value(rest, "--cache-entries") {
-        config.cache_entries = entries
-            .parse()
-            .map_err(|e| format!("bad --cache-entries value: {e}"))?;
-    }
-    if let Some(dir) = flag_value(rest, "--cache-dir") {
-        config.cache_dir = Some(dir.into());
-    }
-    if let Some(max) = flag_value(rest, "--cache-max-bytes") {
-        config.cache_max_bytes = max
-            .parse()
-            .map_err(|e| format!("bad --cache-max-bytes value: {e}"))?;
-    }
-    if let Some(replicas) = flag_value(rest, "--replicas") {
-        config.replicas = replicas
-            .parse()
-            .map_err(|e| format!("bad --replicas value: {e}"))?;
-        if config.replicas == 0 {
-            return Err("--replicas must be at least 1".to_string());
-        }
-    }
-    if let Some(max) = flag_value(rest, "--max-connections") {
-        config.max_connections = max
-            .parse()
-            .map_err(|e| format!("bad --max-connections value: {e}"))?;
-    }
-    let replicas = config.replicas;
+    let config = bayonet_serve::ServerConfig::default()
+        .parse_flags(rest)
+        .map_err(|e| format!("{e}\n{}", usage()))?;
     let handle = bayonet_serve::start(config).map_err(|e| format!("cannot start server: {e}"))?;
-    if replicas > 1 {
-        eprintln!(
-            "bayonet-serve router on http://{} ({replicas} replicas)",
-            handle.addr()
-        );
-    } else {
-        eprintln!("bayonet-serve listening on http://{}", handle.addr());
-    }
+    eprintln!("bayonet-serve listening on http://{}", handle.addr());
     handle.join();
     Ok(())
 }

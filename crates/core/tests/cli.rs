@@ -198,6 +198,20 @@ fn serve_rejects_bad_flags() {
     let (ok, _, stderr) = cli(&["serve", "--threads", "banana"]);
     assert!(!ok);
     assert!(stderr.contains("bad --threads value"), "{stderr}");
+    // The shard router is gone; its flag is unknown like any other.
+    let (ok, _, stderr) = cli(&["serve", "--replicas", "2"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag `--replicas`"), "{stderr}");
+    // Zero-sized limits would start a server that refuses every request.
+    let (ok, _, stderr) = cli(&["serve", "--queue", "0"]);
+    assert!(!ok);
+    assert!(stderr.contains("--queue must be at least 1"), "{stderr}");
+    let (ok, _, stderr) = cli(&["serve", "--max-connections", "0"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("--max-connections must be at least 1"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -4,15 +4,14 @@
 //! this thin binary exists so the serve crate's own tests (and the bench
 //! harness) can spawn a real out-of-process server via
 //! `CARGO_BIN_EXE_bayonet-served` — a 10k-connection stress run needs the
-//! client and server fd budgets in separate processes, and replica
-//! spawning needs a `main` that calls [`bayonet_serve::replica_entry`]
-//! (a test harness `main` does not).
+//! client and server fd budgets in separate processes.
 //!
-//! Configuration is flag-per-field, mirroring `bayonet serve`:
+//! It takes the same flags as `bayonet serve` (see
+//! [`ServerConfig::parse_flags`]), but binds an ephemeral port by default:
 //!
 //! ```text
-//! bayonet-served --addr 127.0.0.1:0 --threads 4 --replicas 1 \
-//!     --queue 64 --io-timeout-ms 30000 --max-connections 16384
+//! bayonet-served --addr 127.0.0.1:0 --threads 4 --queue 64 \
+//!     --io-timeout-ms 30000 --max-connections 16384
 //! ```
 //!
 //! On startup the bound address is announced on stdout as
@@ -20,59 +19,23 @@
 //! shuts the server down, so an exiting parent never leaks a server.
 
 use std::io::{Read, Write};
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
-use bayonet_serve::{replica_entry, start, ServerConfig};
+use bayonet_serve::{start, ServerConfig};
 
 fn main() -> ExitCode {
-    // A replica child never comes back from this call.
-    replica_entry();
-
-    let mut config = ServerConfig {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let defaults = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         ..ServerConfig::default()
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let Some(value) = args.next() else {
-            eprintln!("bayonet-served: flag {flag} needs a value");
-            return ExitCode::from(2);
-        };
-        let ok = match flag.as_str() {
-            "--addr" => {
-                config.addr = value;
-                true
-            }
-            "--threads" => parse_into(&value, &mut config.threads),
-            "--cache-entries" => parse_into(&value, &mut config.cache_entries),
-            "--queue" => parse_into(&value, &mut config.queue_capacity),
-            "--io-timeout-ms" => {
-                let mut ms: u64 = 0;
-                let ok = parse_into(&value, &mut ms);
-                if ok {
-                    config.io_timeout = Duration::from_millis(ms);
-                }
-                ok
-            }
-            "--cache-dir" => {
-                config.cache_dir = Some(PathBuf::from(value));
-                true
-            }
-            "--cache-max-bytes" => parse_into(&value, &mut config.cache_max_bytes),
-            "--replicas" => parse_into(&value, &mut config.replicas),
-            "--max-connections" => parse_into(&value, &mut config.max_connections),
-            _ => {
-                eprintln!("bayonet-served: unknown flag {flag}");
-                return ExitCode::from(2);
-            }
-        };
-        if !ok {
-            eprintln!("bayonet-served: bad value for {flag}");
+    let config = match defaults.parse_flags(&args) {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("bayonet-served: {e}");
             return ExitCode::from(2);
         }
-    }
+    };
 
     let handle = match start(config) {
         Ok(handle) => handle,
@@ -91,14 +54,4 @@ fn main() -> ExitCode {
     while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
     handle.shutdown();
     ExitCode::SUCCESS
-}
-
-fn parse_into<T: std::str::FromStr>(value: &str, slot: &mut T) -> bool {
-    match value.parse() {
-        Ok(parsed) => {
-            *slot = parsed;
-            true
-        }
-        Err(_) => false,
-    }
 }

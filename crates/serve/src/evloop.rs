@@ -8,20 +8,14 @@
 //! clients cost ten thousand fds and one parked thread, not ten thousand
 //! threads.
 //!
-//! Inference never runs on the loop. In **serve** mode a parsed request is
-//! pushed onto a bounded job queue consumed by worker threads (the same
-//! shed-with-`503` contract as before: a full queue answers `503 Service
-//! Unavailable` in microseconds); workers write response bytes into the
-//! connection's [`OutBuf`] and wake the loop to flush them. Chunked batch
-//! streaming works unchanged: the worker's `ChunkedWriter` writes into an
-//! [`OutHandle`], each chunk waking the loop, with a high-water mark
-//! providing backpressure against clients that stop reading.
-//!
-//! In **router** mode (`--replicas N`) the same loop speaks both sides of
-//! a proxy: downstream client connections parse one request, a consistent
-//! hash on the canonical program picks a replica, and an upstream
-//! connection relays the bytes back, injecting an `X-Bayonet-Replica`
-//! header so routing stays observable.
+//! Inference never runs on the loop. A parsed request is pushed onto a
+//! bounded job queue consumed by worker threads (a full queue answers
+//! `503 Service Unavailable` in microseconds); workers write response
+//! bytes into the connection's [`OutBuf`] and wake the loop to flush them.
+//! Chunked batch streaming works the same way: the worker's
+//! `ChunkedWriter` writes into an [`OutHandle`], each chunk waking the
+//! loop, with a high-water mark providing backpressure against clients
+//! that stop reading.
 //!
 //! Hostile-client defenses are enforced here, per connection: a fixed
 //! read deadline from accept (a trickling slow-loris cannot reset it), a
@@ -31,7 +25,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,9 +35,8 @@ use std::time::{Duration, Instant};
 use bayonet_net::{Interest, PollEvent, Poller};
 use crossbeam::channel::{Sender, TrySendError};
 
-use crate::http::{ParseStatus, Request, RequestError, RequestParser, Response, MAX_HEAD_BYTES};
+use crate::http::{ParseStatus, Request, RequestError, RequestParser, Response};
 use crate::metrics::Metrics;
-use crate::router::RouterCore;
 
 /// Token of the accept listener.
 const TOKEN_LISTENER: u64 = 0;
@@ -57,8 +50,6 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// response bytes blocks once this much is queued and unread, so a client
 /// that stops draining cannot balloon server memory.
 const OUT_HIGH_WATER: usize = 1 << 20;
-/// Resume mark for paused upstream reads in router mode.
-const OUT_LOW_WATER: usize = OUT_HIGH_WATER / 4;
 /// Read chunk size.
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -104,7 +95,7 @@ pub(crate) fn loop_shared() -> io::Result<(Arc<LoopShared>, UnixStream)> {
 }
 
 /// The shared half of one connection's outbound stream. The loop drains
-/// it into the socket; a worker (or the router's upstream relay) fills it.
+/// it into the socket; a worker fills it.
 pub(crate) struct OutBuf {
     state: Mutex<OutState>,
     drained: Condvar,
@@ -130,13 +121,12 @@ impl OutBuf {
         })
     }
 
-    /// Queues bytes from the loop thread itself (shed responses, proxy
-    /// relays). Never blocks; loop-side producers bound memory by pausing
-    /// their source instead.
-    fn push_from_loop(&self, bytes: &[u8], complete: bool) {
+    /// Queues a complete response from the loop thread itself (sheds,
+    /// parse errors, timeouts). Never blocks: such responses are small.
+    fn respond_from_loop(&self, bytes: &[u8]) {
         let mut state = self.state.lock().expect("out mutex");
         state.buf.extend(bytes);
-        state.complete |= complete;
+        state.complete = true;
     }
 
     fn mark_complete(&self) {
@@ -215,27 +205,6 @@ pub(crate) struct Job {
     pub(crate) out: OutHandle,
 }
 
-/// What a connection is for.
-enum Role {
-    /// A client connection in serve mode: parse → dispatch → flush.
-    Serve,
-    /// A client connection in router mode; `upstream` is the token of the
-    /// paired replica connection once one exists.
-    Downstream { upstream: Option<u64> },
-    /// A router→replica connection relaying a response to `downstream`.
-    Upstream {
-        downstream: u64,
-        /// Response head accumulated until the blank line, so the
-        /// `X-Bayonet-Replica` header can be injected.
-        head: Vec<u8>,
-        head_done: bool,
-        replica: usize,
-        /// Reading is paused because the downstream buffer is over the
-        /// high-water mark.
-        paused: bool,
-    },
-}
-
 /// What the per-connection timer means right now.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum TimerKind {
@@ -250,12 +219,12 @@ enum TimerKind {
     None,
 }
 
+/// One client connection: parse → dispatch → flush.
 struct Conn {
     stream: TcpStream,
-    role: Role,
     parser: Option<RequestParser>,
     out: Arc<OutBuf>,
-    /// A request was dispatched (worker running or proxy leg in flight).
+    /// A request was dispatched, or the loop answered the connection itself.
     dispatched: bool,
     timer: TimerKind,
     deadline: Instant,
@@ -267,20 +236,10 @@ pub(crate) struct LoopConfig {
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) io_timeout: Duration,
     pub(crate) max_connections: usize,
-    /// Serve mode: the bounded job queue. `None` in router mode.
-    pub(crate) jobs: Option<Sender<Job>>,
-    /// Router mode: replica table and shard ring. `None` in serve mode.
-    pub(crate) router: Option<RouterCore>,
+    /// The bounded job queue the worker pool consumes.
+    pub(crate) jobs: Sender<Job>,
     /// Shutdown flag; flip and wake to begin a graceful drain.
     pub(crate) shutdown: Arc<AtomicBool>,
-}
-
-/// Whether a read pass over a connection should continue.
-enum ReadOutcome {
-    /// Keep reading this connection.
-    More,
-    /// Stop (connection gone, backpressured, or handled elsewhere).
-    Stop,
 }
 
 pub(crate) struct EventLoop {
@@ -427,14 +386,8 @@ impl EventLoop {
         self.next_token += 1;
         self.cfg.metrics.conn_opened();
 
-        let role = if self.cfg.router.is_some() {
-            Role::Downstream { upstream: None }
-        } else {
-            Role::Serve
-        };
         let mut conn = Conn {
             stream,
-            role,
             parser: Some(RequestParser::new()),
             out: OutBuf::new(),
             dispatched: false,
@@ -449,7 +402,7 @@ impl EventLoop {
             self.cfg
                 .metrics
                 .record_request("_conn_cap", 503, Duration::ZERO);
-            conn.out.push_from_loop(&overloaded_response(), true);
+            conn.out.respond_from_loop(&overloaded_response());
             conn.parser = None;
             conn.dispatched = true;
             conn.timer = TimerKind::Write;
@@ -487,28 +440,20 @@ impl EventLoop {
     fn read_conn(&mut self, token: u64) {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
-            let read = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                if matches!(conn.role, Role::Upstream { paused: true, .. }) {
-                    return; // backpressured; resumed by flush_conn
-                }
-                conn.stream.read(&mut chunk)
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
             };
-            match read {
+            match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.read_eof(token);
                     return;
                 }
-                Ok(n) => match self.read_bytes(token, &chunk[..n]) {
-                    ReadOutcome::More => {}
-                    ReadOutcome::Stop => return,
-                },
+                // A connection torn down meanwhile ends the loop above.
+                Ok(n) => self.read_bytes(token, &chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    self.conn_failed(token);
+                    self.teardown(token);
                     return;
                 }
             }
@@ -516,14 +461,7 @@ impl EventLoop {
     }
 
     /// Handles fresh bytes on `token`.
-    fn read_bytes(&mut self, token: u64, bytes: &[u8]) -> ReadOutcome {
-        if matches!(
-            self.conns.get(&token).map(|c| &c.role),
-            Some(Role::Upstream { .. })
-        ) {
-            return self.relay_upstream(token, bytes);
-        }
-
+    fn read_bytes(&mut self, token: u64, bytes: &[u8]) {
         enum Parsed {
             More,
             Done(Request),
@@ -531,7 +469,7 @@ impl EventLoop {
         }
         let parsed = {
             let Some(conn) = self.conns.get_mut(&token) else {
-                return ReadOutcome::Stop;
+                return;
             };
             match conn.parser.as_mut() {
                 // Already dispatched: pipelined extra bytes are read and
@@ -551,23 +489,14 @@ impl EventLoop {
             }
         };
         match parsed {
-            Parsed::More => ReadOutcome::More,
-            Parsed::Done(request) => {
-                self.dispatch(token, request);
-                ReadOutcome::More
-            }
-            Parsed::Failed(e) => {
-                self.answer_parse_error(token, &e);
-                ReadOutcome::More
-            }
+            Parsed::More => {}
+            Parsed::Done(request) => self.dispatch(token, request),
+            Parsed::Failed(e) => self.answer_parse_error(token, &e),
         }
     }
 
     fn read_eof(&mut self, token: u64) {
         enum Eof {
-            /// Replica finished its response: complete the downstream
-            /// stream, retire the upstream leg.
-            UpstreamDone(u64),
             /// Clean pre-request EOF: a probe, not worth answering.
             Probe,
             /// Head or body cut off mid-transfer: a torn request.
@@ -581,23 +510,13 @@ impl EventLoop {
             let Some(conn) = self.conns.get(&token) else {
                 return;
             };
-            match &conn.role {
-                Role::Upstream { downstream, .. } => Eof::UpstreamDone(*downstream),
-                Role::Serve | Role::Downstream { .. } => match &conn.parser {
-                    Some(p) if p.is_empty() => Eof::Probe,
-                    Some(_) => Eof::Torn,
-                    None => Eof::Ignore,
-                },
+            match &conn.parser {
+                Some(p) if p.is_empty() => Eof::Probe,
+                Some(_) => Eof::Torn,
+                None => Eof::Ignore,
             }
         };
         match eof {
-            Eof::UpstreamDone(downstream) => {
-                if let Some(down) = self.conns.get_mut(&downstream) {
-                    down.out.mark_complete();
-                }
-                self.teardown(token);
-                self.flush_conn(downstream);
-            }
             Eof::Probe => self.teardown(token),
             Eof::Torn => {
                 if let Some(conn) = self.conns.get_mut(&token) {
@@ -612,7 +531,7 @@ impl EventLoop {
     fn answer_parse_error(&mut self, token: u64, err: &RequestError) {
         let response = match err {
             RequestError::Io(_) => {
-                self.conn_failed(token);
+                self.teardown(token);
                 return;
             }
             RequestError::TooLarge => Response::json(
@@ -629,7 +548,7 @@ impl EventLoop {
                 return;
             };
             conn.dispatched = true;
-            conn.out.push_from_loop(&response_bytes(&response), true);
+            conn.out.respond_from_loop(&response_bytes(&response));
         }
         self.retime(token, TimerKind::Write);
         self.flush_conn(token);
@@ -646,11 +565,6 @@ impl EventLoop {
             conn.dispatched = true;
         }
 
-        if self.cfg.router.is_some() {
-            self.route(token, request);
-            return;
-        }
-
         let out = {
             let Some(conn) = self.conns.get(&token) else {
                 return;
@@ -661,8 +575,7 @@ impl EventLoop {
                 shared: Arc::clone(&self.shared),
             }
         };
-        let jobs = self.cfg.jobs.as_ref().expect("serve mode has a job queue");
-        match jobs.try_send(Job { request, out }) {
+        match self.cfg.jobs.try_send(Job { request, out }) {
             Ok(()) => {
                 self.cfg.metrics.queue_depth_add(1);
             }
@@ -673,179 +586,11 @@ impl EventLoop {
                 self.cfg
                     .metrics
                     .record_request("_queue", 503, Duration::ZERO);
-                job.out.out.push_from_loop(&overloaded_response(), true);
+                job.out.out.respond_from_loop(&overloaded_response());
                 self.retime(token, TimerKind::Write);
                 self.flush_conn(token);
             }
             Err(TrySendError::Disconnected(_)) => self.teardown(token),
-        }
-    }
-
-    /// Router mode: answer locally or open an upstream leg to a replica.
-    fn route(&mut self, token: u64, request: Request) {
-        let local = {
-            let router = self.cfg.router.as_ref().expect("router mode");
-            router.respond_locally(&request, &self.cfg.metrics)
-        };
-        if let Some(response) = local {
-            self.respond_now(token, &response);
-            return;
-        }
-
-        let (replica, addr) = {
-            let router = self.cfg.router.as_ref().expect("router mode");
-            router.pick(&request)
-        };
-        self.cfg.metrics.record_routed(replica);
-        let upstream = match connect_upstream(addr) {
-            Ok(stream) => stream,
-            Err(_) => {
-                let resp = Response::json(
-                    503,
-                    format!(
-                        r#"{{"ok":false,"error":{{"kind":"replica_unavailable","message":"replica {replica} is not reachable"}}}}"#
-                    ),
-                )
-                .with_header("Retry-After", "1");
-                self.respond_now(token, &resp);
-                return;
-            }
-        };
-
-        let up_token = self.next_token;
-        self.next_token += 1;
-        let up_out = OutBuf::new();
-        up_out.push_from_loop(&request_bytes(&request), false);
-        let up_conn = Conn {
-            stream: upstream,
-            role: Role::Upstream {
-                downstream: token,
-                head: Vec::new(),
-                head_done: false,
-                replica,
-                paused: false,
-            },
-            parser: None,
-            out: up_out,
-            dispatched: true,
-            timer: TimerKind::None,
-            deadline: Instant::now(),
-        };
-        if self
-            .poller
-            .add(up_conn.stream.as_raw_fd(), up_token, Interest::BOTH)
-            .is_err()
-        {
-            self.teardown(token);
-            return;
-        }
-        self.conns.insert(up_token, up_conn);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.role = Role::Downstream {
-                upstream: Some(up_token),
-            };
-        }
-        self.flush_conn(up_token);
-        self.read_conn(up_token);
-    }
-
-    /// Queues a loop-generated response and starts flushing it.
-    fn respond_now(&mut self, token: u64, response: &Response) {
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            conn.out.push_from_loop(&response_bytes(response), true);
-        }
-        self.retime(token, TimerKind::Write);
-        self.flush_conn(token);
-    }
-
-    /// Feeds replica response bytes into the paired downstream buffer,
-    /// injecting the `X-Bayonet-Replica` header at the end of the head.
-    fn relay_upstream(&mut self, token: u64, bytes: &[u8]) -> ReadOutcome {
-        enum Relay {
-            Forward(u64, Vec<u8>),
-            Buffering,
-            Broken(u64),
-        }
-        let relay = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return ReadOutcome::Stop;
-            };
-            let Role::Upstream {
-                downstream,
-                head,
-                head_done,
-                replica,
-                ..
-            } = &mut conn.role
-            else {
-                return ReadOutcome::Stop;
-            };
-            if *head_done {
-                Relay::Forward(*downstream, bytes.to_vec())
-            } else {
-                head.extend_from_slice(bytes);
-                if let Some(end) = find_subslice(head, b"\r\n\r\n") {
-                    let mut injected = Vec::with_capacity(head.len() + 32);
-                    injected.extend_from_slice(&head[..end + 2]);
-                    injected.extend_from_slice(
-                        format!("X-Bayonet-Replica: {replica}\r\n\r\n").as_bytes(),
-                    );
-                    injected.extend_from_slice(&head[end + 4..]);
-                    *head_done = true;
-                    let downstream = *downstream;
-                    head.clear();
-                    head.shrink_to_fit();
-                    Relay::Forward(downstream, injected)
-                } else if head.len() > MAX_HEAD_BYTES {
-                    // A replica never sends an oversized head; treat it as
-                    // a protocol failure and drop both legs.
-                    Relay::Broken(*downstream)
-                } else {
-                    Relay::Buffering
-                }
-            }
-        };
-        match relay {
-            Relay::Buffering => ReadOutcome::More,
-            Relay::Broken(downstream) => {
-                self.teardown(token);
-                self.teardown(downstream);
-                ReadOutcome::Stop
-            }
-            Relay::Forward(downstream, payload) => {
-                let pushed = {
-                    match self.conns.get_mut(&downstream) {
-                        Some(down) => {
-                            down.out.push_from_loop(&payload, false);
-                            Some(down.out.queued() >= OUT_HIGH_WATER)
-                        }
-                        None => None,
-                    }
-                };
-                let Some(backlogged) = pushed else {
-                    // Client went away: drop the upstream leg too.
-                    self.teardown(token);
-                    return ReadOutcome::Stop;
-                };
-                self.flush_conn(downstream);
-                if backlogged {
-                    if let Some(up) = self.conns.get_mut(&token) {
-                        if let Role::Upstream { paused, .. } = &mut up.role {
-                            *paused = true;
-                        }
-                    }
-                    return ReadOutcome::Stop;
-                }
-                // flush_conn may have torn down both legs on a write error.
-                if self.conns.contains_key(&token) {
-                    ReadOutcome::More
-                } else {
-                    ReadOutcome::Stop
-                }
-            }
         }
     }
 
@@ -884,12 +629,9 @@ impl EventLoop {
             (progress, state.buf.is_empty(), state.complete, failed)
         };
 
-        if failed {
-            self.conn_failed(token);
-            return;
-        }
-        if empty && complete {
-            self.finish_conn(token);
+        // The peer is gone, or the response is complete and flushed.
+        if failed || (empty && complete) {
+            self.teardown(token);
             return;
         }
 
@@ -905,51 +647,6 @@ impl EventLoop {
             } else if dispatched && timer == TimerKind::Write {
                 self.retime(token, TimerKind::None);
             }
-        }
-
-        // Downstream drained below the low-water mark: resume a paused
-        // upstream leg.
-        let resumable = self.conns.get(&token).and_then(|c| match &c.role {
-            Role::Downstream { upstream: Some(up) } if c.out.queued() < OUT_LOW_WATER => Some(*up),
-            _ => None,
-        });
-        if let Some(up_token) = resumable {
-            let mut resumed = false;
-            if let Some(up) = self.conns.get_mut(&up_token) {
-                if let Role::Upstream { paused, .. } = &mut up.role {
-                    if *paused {
-                        *paused = false;
-                        resumed = true;
-                    }
-                }
-            }
-            if resumed {
-                self.read_conn(up_token);
-            }
-        }
-    }
-
-    /// A transport failure: the peer is gone. Tears down the connection
-    /// and its proxy twin (a response with no client, or a client whose
-    /// replica died, has nowhere to go).
-    fn conn_failed(&mut self, token: u64) {
-        let peer = self.linked_peer(token);
-        self.teardown(token);
-        if let Some(peer) = peer {
-            self.teardown(peer);
-        }
-    }
-
-    /// Graceful end of exchange: response flushed and complete.
-    fn finish_conn(&mut self, token: u64) {
-        self.teardown(token);
-    }
-
-    fn linked_peer(&self, token: u64) -> Option<u64> {
-        match &self.conns.get(&token)?.role {
-            Role::Downstream { upstream } => *upstream,
-            Role::Upstream { downstream, .. } => Some(*downstream),
-            Role::Serve => None,
         }
     }
 
@@ -1008,20 +705,17 @@ impl EventLoop {
                         };
                         conn.parser = None;
                         conn.dispatched = true;
-                        conn.out.push_from_loop(
-                            &response_bytes(&Response::json(
-                                408,
-                                r#"{"ok":false,"error":{"kind":"timeout","message":"request did not arrive within the read deadline"}}"#,
-                            )),
-                            true,
-                        );
+                        conn.out.respond_from_loop(&response_bytes(&Response::json(
+                            408,
+                            r#"{"ok":false,"error":{"kind":"timeout","message":"request did not arrive within the read deadline"}}"#,
+                        )));
                     }
                     self.retime(token, TimerKind::Write);
                     self.flush_conn(token);
                 }
                 TimerKind::Write => {
                     self.cfg.metrics.record_write_timeout();
-                    self.conn_failed(token);
+                    self.teardown(token);
                 }
             }
         }
@@ -1038,26 +732,7 @@ impl EventLoop {
         // Unblock and fail any producer still writing to this connection;
         // for a streaming batch this is what propagates cancellation.
         conn.out.close();
-        // Upstream legs are internal: only client-facing connections count
-        // in the open-connections gauge.
-        if !matches!(conn.role, Role::Upstream { .. }) {
-            self.cfg.metrics.conn_closed();
-        }
-        match conn.role {
-            // Client gone: the replica leg serves nobody.
-            Role::Downstream { upstream: Some(up) } => self.teardown(up),
-            // Replica leg gone: detach the client so it does not dangle.
-            Role::Upstream { downstream, .. } => {
-                if let Some(down) = self.conns.get_mut(&downstream) {
-                    if let Role::Downstream { upstream } = &mut down.role {
-                        if *upstream == Some(token) {
-                            *upstream = None;
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
+        self.cfg.metrics.conn_closed();
         // `conn.stream` drops here, closing the fd.
     }
 }
@@ -1081,44 +756,4 @@ fn overloaded_response() -> Vec<u8> {
         )
         .with_header("Retry-After", "1"),
     )
-}
-
-/// Re-serializes a parsed request for proxying to a replica. The parse is
-/// lossless for the header subset this server accepts, so replicas see an
-/// equivalent request; `Connection: close` framing holds by construction.
-fn request_bytes(request: &Request) -> Vec<u8> {
-    let mut head = format!("{} {} HTTP/1.1\r\n", request.method, request.path);
-    let mut has_length = false;
-    for (name, value) in &request.headers {
-        if name == "content-length" {
-            has_length = true;
-        }
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    if !has_length && !request.body.is_empty() {
-        head.push_str(&format!("content-length: {}\r\n", request.body.len()));
-    }
-    head.push_str("\r\n");
-    let mut bytes = head.into_bytes();
-    bytes.extend_from_slice(&request.body);
-    bytes
-}
-
-/// Opens a connection to a replica. Replicas are local processes with an
-/// event-loop accept path, so the blocking connect completes immediately
-/// in practice; the socket switches to nonblocking before registration.
-fn connect_upstream(addr: SocketAddr) -> io::Result<TcpStream> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nonblocking(true)?;
-    let _ = stream.set_nodelay(true);
-    Ok(stream)
-}
-
-fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack
-        .windows(needle.len())
-        .position(|window| window == needle)
 }

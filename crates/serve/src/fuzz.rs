@@ -8,7 +8,7 @@
 //! JSON bodies, mangled request lines, colon-less headers, torn bodies,
 //! plain binary noise, and well-framed JSON bodies aimed at the string
 //! decoder (long runs, deep escapes, bad surrogates, raw control
-//! characters). The server's contract under all of them: a
+//! characters, repeated object keys). The server's contract under all of them: a
 //! well-formed HTTP error response or a clean close — never a panic, a
 //! wedged event loop, or a leaked fd.
 //!
@@ -79,11 +79,12 @@ impl RequestFuzzGen {
     /// object (or a bare string) whose strings mix plain runs of up to
     /// `max_run` bytes, multi-byte UTF-8, every escape, runs of escapes,
     /// valid and broken surrogates, and raw control characters. Some
-    /// documents are cut short mid-value. The text is always valid UTF-8,
-    /// so it exercises the JSON layer, not the body's UTF-8 check.
+    /// objects repeat a key. Some documents are cut short mid-value. The
+    /// text is always valid UTF-8, so it exercises the JSON layer, not the
+    /// body's UTF-8 check.
     pub fn json_document(&mut self, max_run: usize) -> String {
         let mut doc = String::new();
-        match self.below(4) {
+        match self.below(5) {
             0 => {
                 doc.push_str(r#"{"source":"#);
                 self.json_string(&mut doc, max_run);
@@ -109,6 +110,17 @@ impl RequestFuzzGen {
                 self.json_string(&mut doc, max_run);
                 doc.push_str(",null]}");
             }
+            // One key twice, at the top level or in `bindings`.
+            3 => {
+                let nested = self.below(2) == 0;
+                if nested {
+                    doc.push_str(r#"{"source":"","bindings":"#);
+                }
+                self.duplicate_key_object(&mut doc, max_run);
+                if nested {
+                    doc.push('}');
+                }
+            }
             _ => self.json_string(&mut doc, max_run),
         }
         if self.below(8) == 0 {
@@ -119,6 +131,28 @@ impl RequestFuzzGen {
             doc.truncate(cut);
         }
         doc
+    }
+
+    /// Appends an object that names one key twice, with up to two other
+    /// keys in between. The repeat is sometimes spelled with a `\u`
+    /// escape, which still decodes to the same key.
+    fn duplicate_key_object(&mut self, out: &mut String, max_run: usize) {
+        const KEYS: [&str; 4] = ["engine", "source", "P_LOSS", "K"];
+        const FILLERS: [&str; 2] = [r#""seed":1,"#, r#""threads":2,"#];
+        let key = self.pick(&KEYS);
+        out.push_str(&format!("{{\"{key}\":"));
+        self.json_string(out, max_run);
+        out.push(',');
+        for filler in &FILLERS[..self.below(3) as usize] {
+            out.push_str(filler);
+        }
+        let (head, last) = key.split_at(key.len() - 1);
+        match self.below(2) {
+            0 => out.push_str(&format!("\"{key}\":")),
+            _ => out.push_str(&format!("\"{head}\\u{:04x}\":", last.as_bytes()[0])),
+        }
+        self.json_string(out, max_run);
+        out.push('}');
     }
 
     /// Appends one quoted JSON string built from random segments.

@@ -240,8 +240,7 @@ fn find_head_end(buf: &[u8], from: usize) -> Option<(usize, usize)> {
 }
 
 /// Reads one request from `stream` (blocking). A convenience wrapper over
-/// [`RequestParser`] for synchronous callers — the CLI, tests, and the
-/// replica-side of simple tooling.
+/// [`RequestParser`] for synchronous callers such as the CLI and tests.
 ///
 /// # Errors
 ///

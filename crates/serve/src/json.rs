@@ -3,7 +3,9 @@
 //! The service speaks JSON over hand-rolled HTTP; the build environment has
 //! no serde, so this module implements the small subset of JSON handling the
 //! protocol needs: UTF-8 text, `\uXXXX` escapes (including surrogate
-//! pairs), and objects that preserve insertion order.
+//! pairs), and objects that preserve insertion order. A key repeated
+//! within one object is an error, so no lookup has to pick which of two
+//! values counts.
 
 use std::fmt;
 
@@ -208,8 +210,9 @@ impl std::error::Error for ParseError {}
 /// decoding thread's stack, which would abort the whole server.
 const MAX_DEPTH: usize = 128;
 
-/// Parses a complete JSON document (rejecting trailing garbage and
-/// nesting deeper than 128 levels). Time is linear in the input's length.
+/// Parses a complete JSON document (rejecting trailing garbage, duplicate
+/// object keys and nesting deeper than 128 levels). Time is linear in the
+/// input's length, up to a log factor in the keys of one object.
 ///
 /// # Errors
 ///
@@ -341,6 +344,8 @@ impl<'a> Parser<'a> {
     fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
+        // Where each key starts, to point a duplicate-key error at it.
+        let mut key_offsets = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -348,6 +353,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            key_offsets.push(self.pos);
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
@@ -359,7 +365,13 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return match first_repeat(&pairs) {
+                        Some(i) => Err(ParseError {
+                            offset: key_offsets[i],
+                            message: format!("duplicate key `{}`", pairs[i].0),
+                        }),
+                        None => Ok(Json::Obj(pairs)),
+                    };
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }
@@ -475,6 +487,24 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The index of the first pair, in document order, whose key an earlier
+/// pair already used. One sort per object, not a scan per key, so an
+/// object with many keys stays cheap.
+fn first_repeat(pairs: &[(String, Json)]) -> Option<usize> {
+    if pairs.len() < 2 {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    // Stable: equal keys keep their document order, so the second of two
+    // neighbours is the repeat.
+    order.sort_by(|&a, &b| pairs[a].0.cmp(&pairs[b].0));
+    order
+        .windows(2)
+        .filter(|w| pairs[w[0]].0 == pairs[w[1]].0)
+        .map(|w| w[1])
+        .min()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,6 +534,30 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_wherever_they_sit() {
+        #[rustfmt::skip]
+        let cases: &[(&str, usize, &str)] = &[
+            (r#"{"a":1,"a":2}"#,                  7, "duplicate key `a`"),
+            (r#"{"b":{"k":"1/2","k":"1/4"}}"#,   16, "duplicate key `k`"),
+            (r#"[{"x":1},{"y":1,"x":2,"y":3}]"#, 22, "duplicate key `y`"),
+            // An escape does not make a key distinct: both decode to `ab`.
+            (r#"{"ab":1,"a\u0062":2}"#,          8, "duplicate key `ab`"),
+            // The first repeat in document order is the one reported.
+            (r#"{"z":1,"a":1,"z":2,"a":2}"#,     13, "duplicate key `z`"),
+        ];
+        for &(doc, offset, message) in cases {
+            let err = parse(doc).expect_err(doc);
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (offset, message),
+                "{doc}"
+            );
+        }
+        // The same key in sibling objects is fine.
+        assert!(parse(r#"[{"a":1},{"a":2}]"#).is_ok());
     }
 
     #[test]

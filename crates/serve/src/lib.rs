@@ -58,7 +58,6 @@ mod http;
 mod json;
 mod metrics;
 mod persist;
-mod router;
 mod server;
 mod service;
 
@@ -72,7 +71,6 @@ pub use metrics::Metrics;
 pub use persist::{
     PersistConfig, PersistCounters, PersistentStore, DEFAULT_CACHE_MAX_BYTES, SEGMENT_FILE,
 };
-pub use router::replica_entry;
 pub use server::{start, ServerConfig, ServerHandle, DEFAULT_MAX_CONNECTIONS};
 pub use service::{
     Service, ServiceOptions, DEFAULT_CACHE_ENTRIES, MAX_BATCH_ITEMS, MAX_SWEEP_POINTS,

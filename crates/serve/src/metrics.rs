@@ -93,9 +93,6 @@ struct Inner {
     /// answer-phase checks are included exactly once).
     engine_feasibility_hits: u64,
     engine_feasibility_misses: u64,
-    /// Requests proxied per replica index (router mode only; rendered only
-    /// when nonempty).
-    router_routed: BTreeMap<usize, u64>,
     /// Planner routing decisions per chosen engine (`"engine": "auto"`).
     planner_decisions: BTreeMap<&'static str, u64>,
     /// Requests the planner rejected up front (estimate exceeded budget).
@@ -322,12 +319,6 @@ impl Metrics {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one request proxied to replica `index` (router mode).
-    pub fn record_routed(&self, index: usize) {
-        let mut inner = self.inner.lock().expect("metrics mutex");
-        *inner.router_routed.entry(index).or_insert(0) += 1;
-    }
-
     /// Current queue depth.
     pub fn queue_depth(&self) -> i64 {
         self.queue_depth.load(Ordering::Relaxed).max(0)
@@ -448,17 +439,6 @@ impl Metrics {
             "bayonet_worker_panics_total {}",
             self.worker_panics.load(Ordering::Relaxed)
         );
-
-        if !inner.router_routed.is_empty() {
-            out.push_str("# HELP bayonet_router_requests_total Requests proxied per replica.\n");
-            out.push_str("# TYPE bayonet_router_requests_total counter\n");
-            for (replica, count) in &inner.router_routed {
-                let _ = writeln!(
-                    out,
-                    "bayonet_router_requests_total{{replica=\"{replica}\"}} {count}"
-                );
-            }
-        }
 
         out.push_str("# HELP bayonet_cache_hits_total Result cache hits.\n");
         out.push_str("# TYPE bayonet_cache_hits_total counter\n");

@@ -9,16 +9,12 @@
 //! load in microseconds instead of stacking latency. Per-connection read
 //! and write deadlines bound hostile or broken clients without a thread
 //! held hostage per connection.
-//!
-//! With [`ServerConfig::replicas`] > 1 the process becomes a shard
-//! router instead: it forks that many single-replica child servers and
-//! proxies requests to them by a consistent hash of the canonical
-//! program (see the [`crate::router`] module docs).
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -31,7 +27,6 @@ use crate::evloop::{loop_shared, EventLoop, Job, LoopConfig, LoopShared};
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::persist::{PersistConfig, DEFAULT_CACHE_MAX_BYTES};
-use crate::router::{spawn_replicas, Replica, RouterCore};
 use crate::service::{Service, ServiceOptions, DEFAULT_CACHE_ENTRIES};
 
 /// Default cap on concurrently open client connections.
@@ -55,24 +50,14 @@ pub struct ServerConfig {
     /// per-request `timeout_ms`.
     pub io_timeout: Duration,
     /// Directory for the persistent result cache; `None` (the default)
-    /// keeps the cache memory-only. With `replicas > 1` each replica uses
-    /// the `shard-<i>` subdirectory.
+    /// keeps the cache memory-only.
     pub cache_dir: Option<PathBuf>,
     /// Segment-file size that triggers compaction when persistence is
     /// enabled.
     pub cache_max_bytes: u64,
-    /// Number of replica processes. `1` (the default) serves in-process;
-    /// more turns this process into a consistent-hash shard router in
-    /// front of that many forked single-replica servers.
-    pub replicas: usize,
     /// Cap on concurrently open client connections; connections beyond it
     /// are answered `503` immediately.
     pub max_connections: usize,
-    /// Binary to execute for replica processes. `None` re-executes the
-    /// current binary, which must call [`crate::replica_entry`] first
-    /// thing in `main`. Tests point this at a dedicated server binary
-    /// because their own `main` belongs to the test harness.
-    pub replica_exe: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -85,14 +70,68 @@ impl Default for ServerConfig {
             io_timeout: Duration::from_secs(30),
             cache_dir: None,
             cache_max_bytes: DEFAULT_CACHE_MAX_BYTES,
-            replicas: 1,
             max_connections: DEFAULT_MAX_CONNECTIONS,
-            replica_exe: None,
         }
     }
 }
 
-/// A handle to a running server (or shard router).
+impl ServerConfig {
+    /// Applies command-line flags on top of `self`, the caller's defaults.
+    /// `bayonet serve` and `bayonet-served` both parse through here, so
+    /// they accept the same flags, one per field: `--addr`, `--threads`,
+    /// `--cache-entries`, `--queue`, `--io-timeout-ms`, `--cache-dir`,
+    /// `--cache-max-bytes` and `--max-connections`. A repeated flag keeps
+    /// its last value.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message for an unknown flag, a stray argument, a flag
+    /// with no value, a value that does not parse, or a `--queue` or
+    /// `--max-connections` of 0 (either would start a server that refuses
+    /// every request).
+    pub fn parse_flags(mut self, args: &[String]) -> Result<ServerConfig, String> {
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let flag = flag.as_str();
+            let mut value = || match args.next() {
+                Some(value) if !value.starts_with("--") => Ok(value.as_str()),
+                _ => Err(format!("{flag} needs a value")),
+            };
+            match flag {
+                "--addr" => self.addr = value()?.to_string(),
+                "--threads" => self.threads = flag_number(flag, value()?)?,
+                "--cache-entries" => self.cache_entries = flag_number(flag, value()?)?,
+                "--queue" => self.queue_capacity = flag_count(flag, value()?)?,
+                "--io-timeout-ms" => {
+                    self.io_timeout = Duration::from_millis(flag_number(flag, value()?)?);
+                }
+                "--cache-dir" => self.cache_dir = Some(PathBuf::from(value()?)),
+                "--cache-max-bytes" => self.cache_max_bytes = flag_number(flag, value()?)?,
+                "--max-connections" => self.max_connections = flag_count(flag, value()?)?,
+                _ if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+                _ => return Err(format!("unexpected argument `{flag}`")),
+            }
+        }
+        Ok(self)
+    }
+}
+
+fn flag_number<T: FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("bad {flag} value: {e}"))
+}
+
+/// A flag value that must be at least 1.
+fn flag_count(flag: &str, value: &str) -> Result<usize, String> {
+    match flag_number(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// A handle to a running server.
 pub struct ServerHandle {
     addr: SocketAddr,
     metrics: Arc<Metrics>,
@@ -100,7 +139,6 @@ pub struct ServerHandle {
     shared: Arc<LoopShared>,
     event_loop: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    replicas: Vec<Replica>,
 }
 
 impl ServerHandle {
@@ -109,16 +147,13 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The server's metrics registry. For a router this is the router's
-    /// own registry (routing counters, connection gauges); each replica
-    /// exports its own via its `/metrics`.
+    /// The server's metrics registry.
     pub fn metrics(&self) -> Arc<Metrics> {
         Arc::clone(&self.metrics)
     }
 
     /// Signals shutdown and joins all threads. In-flight requests get a
-    /// grace period to finish; idle connections are dropped. A router
-    /// also stops its replica fleet.
+    /// grace period to finish; idle connections are dropped.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake();
@@ -128,15 +163,10 @@ impl ServerHandle {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        for replica in self.replicas.drain(..) {
-            replica.stop();
-        }
     }
 
     /// Blocks until the event loop exits (i.e. forever, absent
-    /// [`ServerHandle::shutdown`] from another thread). Replica processes
-    /// outlive the call but not the router process: their stdin watchdogs
-    /// fire when it exits.
+    /// [`ServerHandle::shutdown`] from another thread).
     pub fn join(mut self) {
         if let Some(h) = self.event_loop.take() {
             let _ = h.join();
@@ -147,28 +177,17 @@ impl ServerHandle {
     }
 }
 
-/// Starts the server: binds, spawns the worker pool (or replica fleet)
-/// and the event loop.
+/// Starts the server: binds, spawns the worker pool and the event loop.
 ///
 /// # Errors
 ///
-/// Fails if the address cannot be bound, a replica fails to start, or if
-/// `cache_dir` is set and the persistent cache segment cannot be created
-/// or opened (corrupt segment *contents* are skipped and counted, never
-/// fatal).
+/// Fails if the address cannot be bound, or if `cache_dir` is set and the
+/// persistent cache segment cannot be created or opened (corrupt segment
+/// *contents* are skipped and counted, never fatal).
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     // Best effort: a 10k-connection server wants headroom over the
     // default soft fd limit. Failure is fine — the connection cap sheds.
     let _ = bayonet_net::raise_nofile_limit();
-    if config.replicas > 1 {
-        start_router(config)
-    } else {
-        start_serve(config)
-    }
-}
-
-/// Single-replica mode: event loop + worker pool + [`Service`].
-fn start_serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     // One shared compute pool, sized to the worker count: a large request
@@ -207,8 +226,7 @@ fn start_serve(config: ServerConfig) -> io::Result<ServerHandle> {
             metrics: Arc::clone(&metrics),
             io_timeout: config.io_timeout,
             max_connections: config.max_connections,
-            jobs: Some(tx),
-            router: None,
+            jobs: tx,
             shutdown: Arc::clone(&shutdown),
         },
         Arc::clone(&shared),
@@ -225,7 +243,6 @@ fn start_serve(config: ServerConfig) -> io::Result<ServerHandle> {
         shared,
         event_loop: Some(loop_thread),
         workers,
-        replicas: Vec::new(),
     })
 }
 
@@ -277,50 +294,6 @@ impl<W: Write> Write for Tracked<'_, W> {
     }
 }
 
-/// Router mode: replica fleet + proxying event loop, no local inference.
-fn start_router(config: ServerConfig) -> io::Result<ServerHandle> {
-    let replicas = spawn_replicas(&config)?;
-    let listener = match TcpListener::bind(&config.addr) {
-        Ok(listener) => listener,
-        Err(e) => {
-            for replica in replicas {
-                replica.stop();
-            }
-            return Err(e);
-        }
-    };
-    let addr = listener.local_addr()?;
-    let metrics = Arc::new(Metrics::new());
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let router = RouterCore::new(replicas.iter().map(|r| r.addr).collect());
-
-    let (shared, waker_rx) = loop_shared()?;
-    let event_loop = EventLoop::new(
-        LoopConfig {
-            listener,
-            metrics: Arc::clone(&metrics),
-            io_timeout: config.io_timeout,
-            max_connections: config.max_connections,
-            jobs: None,
-            router: Some(router),
-            shutdown: Arc::clone(&shutdown),
-        },
-        Arc::clone(&shared),
-        waker_rx,
-    )?;
-    let loop_thread = std::thread::spawn(move || event_loop.run());
-
-    Ok(ServerHandle {
-        addr,
-        metrics,
-        shutdown,
-        shared,
-        event_loop: Some(loop_thread),
-        workers: Vec::new(),
-        replicas,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use std::io::Read;
@@ -340,6 +313,81 @@ mod tests {
         let mut reply = String::new();
         conn.read_to_string(&mut reply).expect("read reply");
         reply
+    }
+
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn every_flag_parses_into_its_field() {
+        let config = ServerConfig::default()
+            .parse_flags(&args(&[
+                "--addr",
+                "0.0.0.0:9000",
+                "--threads",
+                "3",
+                "--cache-entries",
+                "17",
+                "--queue",
+                "9",
+                "--io-timeout-ms",
+                "2500",
+                "--cache-dir",
+                "/var/cache/bayonet",
+                "--cache-max-bytes",
+                "4096",
+                "--max-connections",
+                "123",
+            ]))
+            .expect("valid flags");
+        assert_eq!(config.addr, "0.0.0.0:9000");
+        assert_eq!(config.threads, 3);
+        assert_eq!(config.cache_entries, 17);
+        assert_eq!(config.queue_capacity, 9);
+        assert_eq!(config.io_timeout, Duration::from_millis(2500));
+        assert_eq!(config.cache_dir, Some(PathBuf::from("/var/cache/bayonet")));
+        assert_eq!(config.cache_max_bytes, 4096);
+        assert_eq!(config.max_connections, 123);
+    }
+
+    #[test]
+    fn flags_start_from_the_callers_defaults() {
+        let defaults = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServerConfig::default()
+        };
+        let config = defaults
+            .parse_flags(&args(&["--threads", "1", "--threads", "2"]))
+            .expect("valid flags");
+        assert_eq!(config.addr, "127.0.0.1:0");
+        assert_eq!(config.threads, 2, "a repeated flag keeps its last value");
+        assert_eq!(
+            config.queue_capacity,
+            ServerConfig::default().queue_capacity
+        );
+    }
+
+    #[test]
+    fn bad_flags_give_the_pinned_messages() {
+        #[rustfmt::skip]
+        let cases: &[(&[&str], &str)] = &[
+            (&["--threads", "banana"], "bad --threads value: "),
+            (&["--io-timeout-ms", "-1"], "bad --io-timeout-ms value: "),
+            (&["--threads"], "--threads needs a value"),
+            (&["--cache-dir", "--threads", "2"], "--cache-dir needs a value"),
+            (&["--port", "80"], "unknown flag `--port`"),
+            (&["--replicas", "2"], "unknown flag `--replicas`"),
+            (&["extra"], "unexpected argument `extra`"),
+            (&["--queue", "0"], "--queue must be at least 1"),
+            (&["--max-connections", "0"], "--max-connections must be at least 1"),
+        ];
+        for (flags, message) in cases {
+            let err = ServerConfig::default()
+                .parse_flags(&args(flags))
+                .expect_err("invalid flags");
+            assert!(err.starts_with(message), "{flags:?}: {err}");
+        }
     }
 
     #[test]

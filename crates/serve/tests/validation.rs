@@ -136,6 +136,46 @@ fn unknown_fields_are_named_structured_400s() {
     handle.shutdown();
 }
 
+/// A key repeated within one JSON object is a structured 400 naming the
+/// key, whichever object it sits in: otherwise `bindings` would take the
+/// last value while `engine` took the first.
+#[test]
+fn duplicate_keys_are_named_structured_400s() {
+    let source = Json::Str(TINY.into()).to_string();
+    #[rustfmt::skip]
+    let cases: Vec<(&str, String, &str)> = vec![
+        // (path, body, duplicated key)
+        ("/v1/run",   format!(r#"{{"source":{source},"engine":"exact","engine":"smc"}}"#), "engine"),
+        ("/v1/run",   format!(r#"{{"source":{source},"bindings":{{"P_LOSS":"1/2","P_LOSS":"1/4"}}}}"#), "P_LOSS"),
+        ("/v1/run",   format!(r#"{{"source":{source},"source":{source}}}"#), "source"),
+        ("/v1/check", format!(r#"{{"source":{source},"sourc\u0065":{source}}}"#), "source"),
+        ("/v1/batch", format!(r#"{{"items":[{{"source":{source},"seed":1,"seed":2}}]}}"#), "seed"),
+        ("/v1/sweep", format!(r#"{{"source":{source},"sweep":{{"K":[1],"K":[2]}}}}"#), "K"),
+    ];
+
+    let handle = start(common::test_config()).expect("start server");
+    let addr = handle.addr();
+
+    for (path, body, key) in &cases {
+        let (status, _, payload) = common::http(addr, "POST", path, body);
+        assert_eq!(status, 400, "{path} {body}: got {payload}");
+        let doc = parse_json(&payload).expect("json body");
+        let error = doc.get("error").expect("error object");
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("bad_request"),
+            "{payload}"
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+        assert!(
+            message.contains(&format!("duplicate key `{key}`")),
+            "{path} {body}: message {message:?}"
+        );
+    }
+
+    handle.shutdown();
+}
+
 /// Every way `engine` can be wrong — unknown names, case mismatches,
 /// empty strings, and non-string JSON values — is a structured 400 with
 /// `error.field == "engine"` and a message that lists the known engines,
