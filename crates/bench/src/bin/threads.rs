@@ -6,7 +6,7 @@
 //!
 //! Note on reading the numbers: speedup is bounded by the number of
 //! *physical* cores the host exposes. On a single-core container every
-//! extra worker is pure overhead (deque churn + thread spawn), so the
+//! extra worker is pure overhead (thread spawn + chunk hand-off), so the
 //! interesting signal there is that the overhead stays small and the
 //! answers stay identical; run on a multi-core host to see the speedup.
 

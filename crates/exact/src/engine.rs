@@ -10,23 +10,22 @@
 //!
 //! # Parallel expansion and determinism
 //!
-//! Large frontiers are expanded by a work-stealing crew: the frontier is cut
-//! into chunk tasks, each worker owns a deque seeded with one task, and the
-//! remaining tasks queue on a shared injector that idle workers steal from
-//! (falling back to raiding each other's deques). Expanding one
-//! configuration is independent of every other, so any schedule computes the
-//! same multiset of successors; to make the *results byte-for-bit
-//! reproducible regardless of schedule*, chunk outputs are re-assembled in
-//! chunk order and every merge ([`compress`]) sorts its output by the
+//! Expanding one configuration is independent of every other, so each step
+//! cuts a large frontier into chunks and hands them to
+//! [`crate::pool::fan_out`]: every worker lane takes the next unclaimed
+//! chunk from one shared counter, and the chunk outputs come back in chunk
+//! order. A single-threaded step is the same code with one chunk on one
+//! lane. To make the *results bit-for-bit reproducible regardless of
+//! schedule*, every merge ([`compress`]) also sorts its output by the
 //! canonical `(GlobalConfig, Guard)` state key. A single-threaded run and an
 //! 8-thread run therefore produce identical [`Analysis`] values (identical
-//! terminals, identical statistics — only [`EngineStats::steals`] is
-//! schedule-dependent), which `crates/exact/tests/differential.rs` locks
-//! down.
+//! terminals, identical statistics apart from the feasibility-cache
+//! counters) and report the same error, which
+//! `crates/exact/tests/differential.rs` locks down.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bayonet_num::Rat;
@@ -37,10 +36,8 @@ use bayonet_net::{
     Scheduler, SemanticsError, Val,
 };
 
-use crossbeam::deque::{Injector, Stealer, Worker};
-
 use crate::enumerate::enumerate_eval_cached;
-use crate::pool::ComputePool;
+use crate::pool::{fan_out, ComputePool};
 
 /// Which exact backend explores the global transition system. Both produce
 /// bit-identical [`Analysis`] posteriors; they differ in how the frontier is
@@ -128,11 +125,11 @@ impl Default for ExactOptions {
 
 /// Statistics from an exact-engine run.
 ///
-/// Every field except [`EngineStats::steals`] and the feasibility-cache
-/// counters is a pure function of the model and options — independent of
-/// thread count and schedule. The cache counters depend on which worker
-/// reaches a guard first, so they are reported out-of-band (CLI `--stats`
-/// stderr, server `/metrics` aggregates) and never in pinned output.
+/// Every field except the feasibility-cache counters is a pure function of
+/// the model and options — independent of thread count and schedule. The
+/// cache counters depend on which worker reaches a guard first, so they are
+/// reported out-of-band (CLI `--stats` stderr, server `/metrics`
+/// aggregates) and never in pinned output.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Global steps executed (depth of the exploration).
@@ -145,9 +142,6 @@ pub struct EngineStats {
     pub merge_hits: u64,
     /// Number of distinct terminal configurations.
     pub terminal_configs: usize,
-    /// Expansion tasks stolen across worker deques (schedule-dependent;
-    /// 0 for single-threaded runs).
-    pub steals: u64,
     /// Fourier–Motzkin feasibility checks answered from the per-run guard
     /// cache (schedule-dependent under parallel expansion).
     pub feasibility_hits: u64,
@@ -265,8 +259,8 @@ impl Analysis {
 /// How many configuration expansions to run between deadline polls.
 const DEADLINE_POLL_STRIDE: usize = 256;
 
-/// Target number of chunk tasks per parallel worker. More tasks than
-/// workers is what makes stealing effective under uneven chunk costs.
+/// Target number of frontier chunks per parallel worker. More chunks than
+/// workers keeps every lane busy when chunk costs are uneven.
 const TASKS_PER_WORKER: usize = 4;
 
 /// A weighted set of guarded configurations. Kept as a `Vec`; merging
@@ -289,6 +283,73 @@ impl Expansion {
         self.discarded.extend(part.discarded);
         self.orbit_merges += part.orbit_merges;
     }
+}
+
+/// Expands `frontier` over up to `workers` threads and concatenates the
+/// chunk outputs in chunk order, which is exactly the order one sequential
+/// pass would produce. A frontier below [`ExactOptions::par_threshold`] (or
+/// a single worker) is one chunk on the caller's thread, whose output is
+/// taken by value, so nothing is copied; otherwise the frontier is split
+/// into `workers × TASKS_PER_WORKER` chunks.
+///
+/// Error rule: the error from the earliest failing chunk wins, and it wins
+/// over an interruption. A chunk stops early only when an earlier chunk
+/// has already failed, so that error is the one a sequential pass would
+/// hit first. An expired deadline stops every chunk and returns `Ok(None)`.
+fn expand_frontier(
+    model: &Model,
+    scheduler: &dyn Scheduler,
+    frontier: &[(Guard, GlobalConfig, Rat)],
+    opts: &ExactOptions,
+    workers: usize,
+) -> Result<Option<Expansion>, ExactError> {
+    let sym = symmetry_for(model, scheduler);
+    let parallel = workers > 1 && frontier.len() >= opts.par_threshold.max(2);
+    let (lanes, chunks) = if parallel {
+        (workers, workers * TASKS_PER_WORKER)
+    } else {
+        (1, 1)
+    };
+    let chunk_len = frontier.len().div_ceil(chunks).max(1);
+    // The lowest chunk that has failed so far (`usize::MAX`: none). An
+    // expired deadline stores 0, which stops every later chunk. A stopped
+    // chunk returns `Err(None)`.
+    let failed = AtomicUsize::new(usize::MAX);
+    let parts = fan_out(lanes, frontier.len().div_ceil(chunk_len), |chunk| {
+        let start = chunk * chunk_len;
+        let end = (start + chunk_len).min(frontier.len());
+        let mut out = Expansion::default();
+        for (i, (g, c, m)) in frontier[start..end].iter().enumerate() {
+            if i % DEADLINE_POLL_STRIDE == 0 {
+                if failed.load(Ordering::Relaxed) < chunk {
+                    return Err(None);
+                }
+                if opts.deadline.expired() {
+                    failed.store(0, Ordering::Relaxed);
+                    return Err(None);
+                }
+            }
+            if let Err(e) = expand_config(model, scheduler, sym, g, c, m, opts, &mut out) {
+                failed.fetch_min(chunk, Ordering::Relaxed);
+                return Err(Some(e));
+            }
+        }
+        Ok(out)
+    });
+
+    let mut merged: Option<Expansion> = None;
+    let mut interrupted = false;
+    for part in parts {
+        match part {
+            Ok(part) => match &mut merged {
+                None => merged = Some(part),
+                Some(merged) => merged.absorb(part),
+            },
+            Err(None) => interrupted = true,
+            Err(Some(e)) => return Err(e),
+        }
+    }
+    Ok(if interrupted { None } else { merged })
 }
 
 /// The symmetry group to canonicalize frontier configurations with, when
@@ -417,153 +478,6 @@ fn compress(items: Weighted, stats: &mut EngineStats) -> Weighted {
     out
 }
 
-/// One parallel expansion task: chunk `ordinal` covering
-/// `frontier[start..end]`.
-#[derive(Clone, Copy)]
-struct Task {
-    ordinal: usize,
-    start: usize,
-    end: usize,
-}
-
-/// A worker's error, tagged with the chunk it occurred in so the caller can
-/// surface the error the *sequential* engine would have hit first.
-/// Interruptions are tagged `usize::MAX` so real errors take precedence.
-type TaggedError = (usize, ExactError);
-
-/// Expands `frontier` with a work-stealing crew of `workers` threads.
-///
-/// Tasks are chunk ranges of the frontier. Each worker's deque is seeded
-/// with one task; the remainder queue on a shared injector. A worker whose
-/// deque runs dry first steals from the injector, then raids its peers —
-/// each successful steal is counted. Chunk outputs are re-assembled in
-/// ordinal order, so the merged [`Expansion`] is byte-identical to what the
-/// sequential loop produces.
-fn expand_frontier_parallel(
-    model: &Model,
-    scheduler: &dyn Scheduler,
-    sym: Option<&bayonet_net::opt::SymmetryGroup>,
-    frontier: &[(Guard, GlobalConfig, Rat)],
-    opts: &ExactOptions,
-    workers: usize,
-) -> Result<(Expansion, u64), TaggedError> {
-    let chunk = frontier.len().div_ceil(workers * TASKS_PER_WORKER).max(1);
-    let locals: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<Task>> = locals.iter().map(Worker::stealer).collect();
-    let injector = Injector::new();
-    for (ordinal, start) in (0..frontier.len()).step_by(chunk).enumerate() {
-        let task = Task {
-            ordinal,
-            start,
-            end: (start + chunk).min(frontier.len()),
-        };
-        if ordinal < workers {
-            locals[ordinal].push(task);
-        } else {
-            injector.push(task);
-        }
-    }
-    // Raised by the first worker to fail (deadline or semantics), making
-    // the others abandon their remaining tasks promptly.
-    let stop = AtomicBool::new(false);
-
-    type WorkerResult = Result<(Vec<(usize, Expansion)>, u64), TaggedError>;
-    let results: Vec<WorkerResult> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .enumerate()
-            .map(|(me, local)| {
-                let stealers = &stealers;
-                let injector = &injector;
-                let stop = &stop;
-                scope.spawn(move |_| -> WorkerResult {
-                    let mut done: Vec<(usize, Expansion)> = Vec::new();
-                    let mut steals = 0u64;
-                    loop {
-                        let task = local.pop().or_else(|| {
-                            injector
-                                .steal()
-                                .success()
-                                .or_else(|| {
-                                    stealers
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(victim, _)| *victim != me)
-                                        .find_map(|(_, s)| s.steal().success())
-                                })
-                                .inspect(|_| steals += 1)
-                        });
-                        let Some(task) = task else { break };
-                        let mut out = Expansion::default();
-                        for (i, (g, c, m)) in frontier[task.start..task.end].iter().enumerate() {
-                            if i % DEADLINE_POLL_STRIDE == 0 {
-                                if stop.load(Ordering::Relaxed) {
-                                    return Ok((done, steals));
-                                }
-                                if opts.deadline.expired() {
-                                    stop.store(true, Ordering::Relaxed);
-                                    return Err((
-                                        usize::MAX,
-                                        // steps/expansions are filled in by
-                                        // the caller.
-                                        ExactError::Interrupted {
-                                            steps: 0,
-                                            expansions: 0,
-                                        },
-                                    ));
-                                }
-                            }
-                            if let Err(e) =
-                                expand_config(model, scheduler, sym, g, c, m, opts, &mut out)
-                            {
-                                stop.store(true, Ordering::Relaxed);
-                                return Err((task.ordinal, e));
-                            }
-                        }
-                        done.push((task.ordinal, out));
-                    }
-                    Ok((done, steals))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("expansion worker panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope");
-
-    let mut chunks: Vec<(usize, Expansion)> = Vec::new();
-    let mut steals = 0u64;
-    let mut first_err: Option<TaggedError> = None;
-    for r in results {
-        match r {
-            Ok((done, s)) => {
-                chunks.extend(done);
-                steals += s;
-            }
-            Err((ordinal, e)) => {
-                // Keep the error from the earliest chunk — the one the
-                // sequential engine would have reported.
-                if first_err.as_ref().is_none_or(|(o, _)| ordinal < *o) {
-                    first_err = Some((ordinal, e));
-                }
-            }
-        }
-    }
-    if let Some(err) = first_err {
-        return Err(err);
-    }
-    // Deterministic merge: concatenate chunk outputs in ordinal order,
-    // exactly reproducing the sequential iteration order.
-    chunks.sort_unstable_by_key(|(ordinal, _)| *ordinal);
-    let mut merged = Expansion::default();
-    for (_, part) in chunks {
-        merged.absorb(part);
-    }
-    Ok((merged, steals))
-}
-
 /// The enumeration engine's exploration state between global steps.
 ///
 /// [`analyze`] drives it straight to the fixpoint; the sweep engine
@@ -676,39 +590,13 @@ impl EnumState {
             });
         }
 
-        let sym = symmetry_for(model, scheduler);
         stats.expansions += self.frontier.len() as u64;
-        let expansion = if workers > 1 && self.frontier.len() >= opts.par_threshold.max(2) {
-            match expand_frontier_parallel(model, scheduler, sym, &self.frontier, opts, workers) {
-                Ok((merged, steals)) => {
-                    stats.steals += steals;
-                    if let Some(pool) = &opts.pool {
-                        pool.add_steals(steals);
-                    }
-                    merged
-                }
-                Err((_, e)) => {
-                    return Err(match e {
-                        ExactError::Interrupted { .. } => ExactError::Interrupted {
-                            steps: stats.steps - 1,
-                            expansions: stats.expansions,
-                        },
-                        other => other,
-                    })
-                }
-            }
-        } else {
-            let mut out = Expansion::default();
-            for (i, (g, c, m)) in self.frontier.iter().enumerate() {
-                if i > 0 && i % DEADLINE_POLL_STRIDE == 0 && opts.deadline.expired() {
-                    return Err(ExactError::Interrupted {
-                        steps: stats.steps - 1,
-                        expansions: stats.expansions,
-                    });
-                }
-                expand_config(model, scheduler, sym, g, c, m, opts, &mut out)?;
-            }
-            out
+        let Some(expansion) = expand_frontier(model, scheduler, &self.frontier, opts, workers)?
+        else {
+            return Err(ExactError::Interrupted {
+                steps: stats.steps - 1,
+                expansions: stats.expansions,
+            });
         };
         self.stats.orbit_merges += expansion.orbit_merges;
         self.frontier.clear();
@@ -785,8 +673,8 @@ pub(crate) fn step_bound(model: &Model, opts: &ExactOptions) -> u64 {
 
 /// Runs the exact engine to the termination fixpoint.
 ///
-/// With `opts.threads > 1` the frontier expansion of each global step is
-/// parallelized via per-worker deques with work stealing; the returned
+/// With `opts.threads > 1` the frontier expansion of each global step fans
+/// out over worker lanes ([`crate::pool::fan_out`]); the returned
 /// [`Analysis`] is byte-identical to a single-threaded run.
 ///
 /// # Errors

@@ -48,7 +48,7 @@ pub use bayonet_symbolic::FeasibilityCache;
 pub use engine::{analyze, Analysis, EngineKind, EngineStats, ExactError, ExactOptions};
 pub use enumerate::{enumerate_eval, enumerate_eval_cached, Branch, ReplayDriver};
 pub use planner::{plan_model, Plan, PlanDecision, PlanEngine, PlanSignals, PlannerConfig};
-pub use pool::{ComputePool, PoolLease, PoolStats};
+pub use pool::{fan_out, ComputePool, PoolLease, PoolStats};
 pub use query::{
     answer, answer_cached, value_distribution, CellAnswer, QueryResult, MAX_CELL_ATOMS,
 };

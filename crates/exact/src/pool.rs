@@ -1,23 +1,75 @@
-//! A shared compute pool: bounded admission for parallel frontier expansion.
+//! Parallel fan-out and the shared compute pool that bounds it.
 //!
-//! The exact engine can fan a large frontier out over several worker
-//! threads ([`crate::ExactOptions::threads`]). When many inference requests
-//! run concurrently (as in `bayonet-serve`), unbounded per-request
+//! [`fan_out`] is the one way this workspace runs independent tasks on
+//! several threads: the exact engine expands frontier chunks through it
+//! ([`crate::ExactOptions::threads`]) and `bayonet-serve` runs batch items
+//! through it. When many requests run concurrently, unbounded per-request
 //! parallelism would oversubscribe the machine, so requests share one
-//! [`ComputePool`]: a request asks for extra workers and is *granted up to
-//! as many as are currently idle* ([`ComputePool::lease`]). A big request
-//! alone on the server gets the whole pool; under load everyone degrades
-//! toward single-threaded — results are byte-identical either way, only
-//! wall-clock time changes.
+//! [`ComputePool`]: a request asks for extra lanes and is *granted up to as
+//! many slots as are currently free* ([`ComputePool::lease`]). A big
+//! request alone on the server gets the whole pool; once the pool is
+//! leased out, later requests run on their own thread only. Results are
+//! byte-identical either way, only wall-clock time changes.
 //!
-//! The pool also aggregates scheduling telemetry: how many slots are busy
-//! right now (occupancy) and how many tasks were stolen across worker
-//! deques ([`ComputePool::steals`]), which the serve layer exposes as
-//! Prometheus gauges.
+//! The pool also reports how many slots are leased right now and how many
+//! leases granted at least one slot, which the serve layer exposes as
+//! Prometheus metrics.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Runs `task(0)` through `task(tasks - 1)` on up to `lanes` threads and
+/// returns the results in task order.
+///
+/// The calling thread is lane zero; the other lanes are scoped threads.
+/// Every lane takes the next unclaimed index from one shared counter, so
+/// a slow task never holds up the rest. With one lane (or at most one
+/// task) everything runs inline and no thread is spawned. A panicking
+/// task resurfaces on the caller once every lane has stopped.
+///
+/// # Examples
+///
+/// ```
+/// use bayonet_exact::fan_out;
+///
+/// let squares = fan_out(4, 10, |i| i * i);
+/// assert_eq!(squares, (0..10).map(|i| i * i).collect::<Vec<_>>());
+/// ```
+pub fn fan_out<R, F>(lanes: usize, tasks: usize, task: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let lanes = lanes.min(tasks);
+    if lanes <= 1 {
+        return (0..tasks).map(task).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let lane = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= tasks {
+                return done;
+            }
+            done.push((index, task(index)));
+        }
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+        let mut done = lane();
+        for other in others {
+            done.extend(
+                other
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, result)| result).collect()
+}
 
 /// A cloneable handle to a shared pool of compute slots.
 ///
@@ -39,15 +91,15 @@ use std::sync::Arc;
 /// drop(big);
 /// assert_eq!(pool.busy(), 1);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ComputePool {
     inner: Arc<PoolInner>,
 }
 
+#[derive(Debug)]
 struct PoolInner {
     capacity: usize,
     busy: AtomicUsize,
-    steals: AtomicU64,
     leases: AtomicU64,
 }
 
@@ -58,9 +110,7 @@ pub struct PoolStats {
     pub capacity: usize,
     /// Slots currently leased.
     pub busy: usize,
-    /// Cumulative tasks stolen across worker deques / the shared injector.
-    pub steals: u64,
-    /// Cumulative leases granted (including zero-slot grants).
+    /// Cumulative leases that granted at least one slot.
     pub leases: u64,
 }
 
@@ -71,7 +121,6 @@ impl ComputePool {
             inner: Arc::new(PoolInner {
                 capacity: capacity.max(1),
                 busy: AtomicUsize::new(0),
-                steals: AtomicU64::new(0),
                 leases: AtomicU64::new(0),
             }),
         }
@@ -87,17 +136,11 @@ impl ComputePool {
         self.inner.busy.load(Ordering::Relaxed)
     }
 
-    /// Cumulative number of stolen expansion tasks.
-    pub fn steals(&self) -> u64 {
-        self.inner.steals.load(Ordering::Relaxed)
-    }
-
     /// A telemetry snapshot.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             capacity: self.inner.capacity,
             busy: self.busy(),
-            steals: self.steals(),
             leases: self.inner.leases.load(Ordering::Relaxed),
         }
     }
@@ -105,6 +148,7 @@ impl ComputePool {
     /// Grants up to `requested` idle slots, never blocking: the grant is
     /// `min(requested, capacity - busy)` at the moment of the call and may
     /// be zero. The slots return to the pool when the lease is dropped.
+    /// Only grants of at least one slot count towards [`PoolStats::leases`].
     pub fn lease(&self, requested: usize) -> PoolLease {
         let mut granted;
         let mut current = self.inner.busy.load(Ordering::Relaxed);
@@ -119,33 +163,17 @@ impl ComputePool {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => break,
+                Ok(_) => {
+                    self.inner.leases.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
                 Err(seen) => current = seen,
             }
         }
-        self.inner.leases.fetch_add(1, Ordering::Relaxed);
         PoolLease {
             pool: self.clone(),
             granted,
         }
-    }
-
-    /// Folds a run's steal count into the pool's cumulative counter.
-    pub fn add_steals(&self, n: u64) {
-        if n > 0 {
-            self.inner.steals.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-}
-
-impl fmt::Debug for ComputePool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.stats();
-        f.debug_struct("ComputePool")
-            .field("capacity", &s.capacity)
-            .field("busy", &s.busy)
-            .field("steals", &s.steals)
-            .finish()
     }
 }
 
@@ -193,7 +221,8 @@ mod tests {
         drop(a);
         drop(c);
         assert_eq!(pool.busy(), 0);
-        assert_eq!(pool.stats().leases, 4);
+        // `c` was granted nothing, so it does not count.
+        assert_eq!(pool.stats().leases, 3);
     }
 
     #[test]
@@ -204,12 +233,41 @@ mod tests {
     }
 
     #[test]
-    fn steals_accumulate() {
-        let pool = ComputePool::new(2);
-        pool.add_steals(0);
-        pool.add_steals(5);
-        pool.add_steals(2);
-        assert_eq!(pool.steals(), 7);
+    fn fan_out_returns_results_in_task_order() {
+        for lanes in [1, 2, 8] {
+            for tasks in [0, 1, 37] {
+                let got = fan_out(lanes, tasks, |i| i * 3);
+                let want: Vec<usize> = (0..tasks).map(|i| i * 3).collect();
+                assert_eq!(got, want, "{lanes} lanes, {tasks} tasks");
+            }
+        }
+    }
+
+    #[test]
+    fn one_lane_runs_every_task_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ids = fan_out(1, 37, |_| std::thread::current().id());
+        assert!(ids.iter().all(|id| *id == caller));
+    }
+
+    #[test]
+    fn a_panicking_task_resurfaces_on_the_caller() {
+        for lanes in [1, 2, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                fan_out(lanes, 37, |i| {
+                    if i == 20 {
+                        panic!("task {i} failed");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("task 20 failed"),
+                "{lanes} lanes"
+            );
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! For every program under `examples/bay/` the posterior (terminals,
 //! discarded mass, statistics) and the rendered CLI text are compared
 //! against a `threads = 1` baseline for several worker counts, with the
-//! parallel threshold forced low so even small frontiers take the
-//! work-stealing path. The symbolic-synthesis pipeline is covered too.
+//! parallel threshold forced low so even small frontiers expand in
+//! parallel. The symbolic-synthesis pipeline is covered too, and so are
+//! runtime errors: a failing run reports the same error at every count.
 //!
-//! The `BAYONET_TEST_THREADS` environment variable adds one extra worker
-//! count to the matrix; CI runs the suite with it set to both `1` and `8`.
+//! A `BAYONET_TEST_THREADS` value outside the fixed {1, 2, 8} adds one
+//! extra worker count to the matrix.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -130,7 +131,7 @@ fn needs_binding(source: &str) -> bool {
     )
 }
 
-/// Everything but `steals`, which is legitimately schedule-dependent.
+/// The statistics every run must reproduce exactly.
 fn deterministic_stats(a: &Analysis) -> (u64, u64, usize, u64, usize) {
     (
         a.stats.steps,
@@ -146,10 +147,6 @@ fn every_example_is_bit_identical_across_thread_counts() {
     for (name, source) in example_sources() {
         let binding = needs_binding(&source).then(|| Rat::ratio(1, 4));
         let (baseline, baseline_text) = run_and_render(&source, binding.clone(), &options(1));
-        assert_eq!(
-            baseline.stats.steals, 0,
-            "{name}: sequential runs never steal"
-        );
         for threads in thread_matrix() {
             let (run, text) = run_and_render(&source, binding.clone(), &options(threads));
             assert_eq!(
@@ -205,7 +202,7 @@ fn symbolic_synthesis_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn pool_contention_degrades_gracefully_without_changing_results() {
-    // Pool leases and work stealing are enumeration-engine machinery; pin
+    // Pool leases and parallel expansion are enumeration-engine machinery; pin
     // the engine so the `BAYONET_TEST_ENGINE=bdd` leg still exercises it.
     let options = |threads: usize| ExactOptions {
         engine: bayonet_exact::EngineKind::Enum,
@@ -232,16 +229,80 @@ fn pool_contention_degrades_gracefully_without_changing_results() {
         pool: Some(pool.clone()),
         ..options(8)
     };
-    let (run, relaxed_text) = run_and_render(&source, None, &relaxed);
+    let (_, relaxed_text) = run_and_render(&source, None, &relaxed);
     assert_eq!(baseline_text, relaxed_text);
     assert_eq!(pool.busy(), 0);
-    // Three leases: the hog, the starved run's zero-slot grant, and the
-    // relaxed run.
-    assert_eq!(pool.stats().leases, 3);
-    // With more chunk tasks than workers, stealing must actually happen —
-    // proof the parallel path engaged.
-    assert!(
-        run.stats.steals > 0,
-        "parallel expansion never stole a task"
-    );
+    // Two leases granted a worker: the hog and the relaxed run, whose
+    // parallel expansion therefore engaged. The starved run's zero-slot
+    // grant does not count.
+    assert_eq!(pool.stats().leases, 2);
+}
+
+/// Gossip on K4 where a node that is reached a second time fails at run
+/// time with `failure`, instead of dropping the packet. Second visits come
+/// only a few steps in, when the frontier holds many configurations, and
+/// several of them fail within the same step with different messages.
+fn failing_gossip(failure: &str) -> String {
+    format!(
+        r#"
+        packet_fields {{ dst }}
+        topology {{
+            nodes {{ S0, S1, S2, S3 }}
+            links {{
+                (S0, pt1) <-> (S1, pt1), (S0, pt2) <-> (S2, pt1),
+                (S0, pt3) <-> (S3, pt1), (S1, pt2) <-> (S2, pt2),
+                (S1, pt3) <-> (S3, pt2), (S2, pt3) <-> (S3, pt3)
+            }}
+        }}
+        programs {{ S0 -> seed, S1 -> gossip, S2 -> gossip, S3 -> gossip }}
+        init {{ packet -> (S0, pt1); }}
+        query expectation(infected@S1 + infected@S2 + infected@S3);
+        def seed(pkt, pt) state infected(0) {{
+            if infected == 0 {{ infected = 1; fwd(uniformInt(1, 3)); }}
+            else {{ drop; }}
+        }}
+        def gossip(pkt, pt) state infected(0) {{
+            if infected == 0 {{
+                infected = 1;
+                dup;
+                fwd(uniformInt(1, 3));
+                fwd(uniformInt(1, 3));
+            }} else {{ {failure} }}
+        }}
+        "#
+    )
+}
+
+#[test]
+fn runtime_errors_are_identical_across_thread_counts() {
+    // Pin enumeration: the configuration cap below and the parallel
+    // expansion under test are both enumeration-engine machinery.
+    let options = |threads: usize| ExactOptions {
+        engine: bayonet_exact::EngineKind::Enum,
+        ..options(threads)
+    };
+    for failure in ["fwd(pt + 3);", "infected = 1 / (infected - 1); drop;"] {
+        let (model, scheduler) = build(&failing_gossip(failure), None);
+        let error = |opts: &ExactOptions| match analyze(&model, &*scheduler, opts) {
+            Ok(_) => panic!("`{failure}`: the run must fail"),
+            Err(e) => e.to_string(),
+        };
+        // Capping the frontier at the parallel threshold trips the cap
+        // before any node fails, so the failing steps expand in parallel.
+        let capped = error(&ExactOptions {
+            max_configs: 2,
+            ..options(1)
+        });
+        assert!(capped.contains("configuration limit"), "{capped}");
+
+        let baseline = error(&options(1));
+        assert!(baseline.starts_with("semantic error"), "{baseline}");
+        for threads in thread_matrix() {
+            assert_eq!(
+                baseline,
+                error(&options(threads)),
+                "`{failure}`: error diverges at {threads} threads"
+            );
+        }
+    }
 }

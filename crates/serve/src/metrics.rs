@@ -76,7 +76,6 @@ struct Inner {
     engine_expansions: u64,
     engine_merge_hits: u64,
     engine_peak_configs: u64,
-    engine_steals: u64,
     /// Pass-pipeline totals: pass executions, random sites eliminated,
     /// constant guards folded (from [`bayonet_net::opt::OptReport`]), and
     /// frontier configurations replaced by their orbit representative
@@ -125,7 +124,7 @@ pub struct Metrics {
     http_conn_shed: AtomicU64,
     /// Worker panics caught by the server's per-request guard.
     worker_panics: AtomicU64,
-    /// Shared compute pool whose occupancy/steal gauges are exported; bound
+    /// Shared compute pool whose occupancy and lease counts are exported; bound
     /// once at service construction when parallel expansion is enabled.
     pool: Mutex<Option<ComputePool>>,
     /// Persistent-cache counters; bound once at service construction when
@@ -205,7 +204,6 @@ impl Metrics {
         inner.engine_expansions += stats.expansions;
         inner.engine_merge_hits += stats.merge_hits;
         inner.engine_peak_configs = inner.engine_peak_configs.max(stats.peak_configs as u64);
-        inner.engine_steals += stats.steals;
         inner.opt_orbit_states_merged += stats.orbit_merges;
         inner.bdd_nodes += stats.bdd_nodes;
         inner.bdd_unique_hits += stats.bdd_unique_hits;
@@ -256,8 +254,8 @@ impl Metrics {
         inner.planner_ratio_sum += ratio;
     }
 
-    /// Binds the shared compute pool whose occupancy and steal counters are
-    /// exported as `bayonet_pool_*` gauges.
+    /// Binds the shared compute pool whose occupancy and lease counts are
+    /// exported as `bayonet_pool_*` metrics.
     pub fn bind_pool(&self, pool: ComputePool) {
         *self.pool.lock().expect("pool mutex") = Some(pool);
     }
@@ -604,11 +602,6 @@ impl Metrics {
             "bayonet_engine_peak_configs {}",
             inner.engine_peak_configs
         );
-        out.push_str(
-            "# HELP bayonet_engine_steals_total Expansion tasks stolen across worker deques.\n",
-        );
-        out.push_str("# TYPE bayonet_engine_steals_total counter\n");
-        let _ = writeln!(out, "bayonet_engine_steals_total {}", inner.engine_steals);
         out.push_str("# HELP bayonet_opt_pass_runs_total Model-optimization pass executions.\n");
         out.push_str("# TYPE bayonet_opt_pass_runs_total counter\n");
         let _ = writeln!(out, "bayonet_opt_pass_runs_total {}", inner.opt_pass_runs);
@@ -743,10 +736,9 @@ impl Metrics {
             out.push_str("# HELP bayonet_pool_workers_busy Compute-pool slots currently leased.\n");
             out.push_str("# TYPE bayonet_pool_workers_busy gauge\n");
             let _ = writeln!(out, "bayonet_pool_workers_busy {}", stats.busy);
-            out.push_str("# HELP bayonet_pool_steals_total Tasks stolen via the shared pool.\n");
-            out.push_str("# TYPE bayonet_pool_steals_total counter\n");
-            let _ = writeln!(out, "bayonet_pool_steals_total {}", stats.steals);
-            out.push_str("# HELP bayonet_pool_leases_total Worker leases granted.\n");
+            out.push_str(
+                "# HELP bayonet_pool_leases_total Leases that granted at least one slot.\n",
+            );
             out.push_str("# TYPE bayonet_pool_leases_total counter\n");
             let _ = writeln!(out, "bayonet_pool_leases_total {}", stats.leases);
         }
@@ -785,7 +777,6 @@ mod tests {
             peak_configs: 7,
             merge_hits: 3,
             terminal_configs: 2,
-            steals: 4,
             orbit_merges: 12,
             feasibility_hits: 0,
             feasibility_misses: 0,
@@ -803,7 +794,6 @@ mod tests {
         m.record_planner_ratio(3.0);
         let pool = ComputePool::new(8);
         let lease = pool.lease(3);
-        pool.add_steals(5);
         m.bind_pool(pool);
 
         let text = m.render();
@@ -832,7 +822,6 @@ mod tests {
         assert!(text.contains("bayonet_sweep_prefix_steps_total 9"));
         assert!(text.contains("bayonet_engine_steps_total 10"));
         assert!(text.contains("bayonet_engine_peak_configs 7"));
-        assert!(text.contains("bayonet_engine_steals_total 4"));
         assert!(text.contains("bayonet_engine_feasibility_hits_total 11"));
         assert!(text.contains("bayonet_engine_feasibility_misses_total 5"));
         assert!(text.contains("bayonet_opt_pass_runs_total 3"));
@@ -850,7 +839,6 @@ mod tests {
         assert!(text.contains("bayonet_planner_cost_ratio_count 2"));
         assert!(text.contains("bayonet_pool_workers_total 8"));
         assert!(text.contains("bayonet_pool_workers_busy 3"));
-        assert!(text.contains("bayonet_pool_steals_total 5"));
         assert!(text.contains("bayonet_pool_leases_total 1"));
         // Every non-comment line is `name{labels} value` or `name value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {

@@ -47,7 +47,9 @@ pub const SEGMENT_FILE: &str = "results.seg";
 pub const DEFAULT_CACHE_MAX_BYTES: u64 = 64 * 1024 * 1024;
 
 const MAGIC: [u8; 4] = *b"BAYC";
-const FORMAT_VERSION: u32 = 1;
+/// Bumped whenever the cache key scheme changes, so records stored under
+/// old keys are discarded on load instead of never matching again.
+const FORMAT_VERSION: u32 = 2;
 const HEADER_LEN: usize = 8;
 /// A payload is a key plus one JSON response body; anything claiming to be
 /// larger than this is treated as framing corruption, not data.

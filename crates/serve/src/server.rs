@@ -190,9 +190,12 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let _ = bayonet_net::raise_nofile_limit();
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    // One shared compute pool, sized to the worker count: a large request
-    // can borrow threads that would otherwise sit idle in the HTTP pool,
-    // and under full load everyone degrades to single-threaded.
+    // One shared compute pool with as many slots as HTTP workers. Workers
+    // hold no slot themselves: a slot is one extra lane that a parallel
+    // request or a batch leases on top of its own worker thread. So a
+    // `--threads 1` server still runs a batch on two threads, and up to
+    // 2 × `--threads` threads can be busy at once. Once every slot is
+    // leased, later requests run on their worker thread alone.
     let threads = config.threads.max(1);
     let service = Arc::new(Service::with_options(ServiceOptions {
         cache_entries: config.cache_entries,

@@ -40,15 +40,14 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use bayonet_approx::{rejection, smc, ApproxError, ApproxOptions, Estimate};
 use bayonet_exact::{
-    analyze, answer_cached, plan_model, synthesize_result, ComputePool, EngineKind, ExactError,
-    ExactOptions, FeasibilityCache, Objective, Plan, PlanDecision, PlanEngine, PlannerConfig,
-    QueryResult, SweepResult, SynthesisOptions,
+    analyze, answer_cached, fan_out, plan_model, synthesize_result, ComputePool, EngineKind,
+    ExactError, ExactOptions, FeasibilityCache, Objective, Plan, PlanDecision, PlanEngine,
+    PlannerConfig, QueryResult, SweepResult, SynthesisOptions,
 };
 use bayonet_lang::{check, parse, pretty_program, Program};
 use bayonet_net::opt::optimize;
@@ -138,7 +137,7 @@ impl Service {
     }
 
     /// Creates a service that leases workers for parallel exact expansion
-    /// from `pool`. The pool's occupancy and steal counters are exported
+    /// from `pool`. The pool's occupancy and lease counts are exported
     /// through `/metrics`.
     pub fn with_pool(cache_entries: usize, pool: ComputePool) -> Service {
         Service::with_options(ServiceOptions {
@@ -771,48 +770,29 @@ impl Service {
             }
         }
 
-        let next = AtomicUsize::new(0);
-        let item_errors = AtomicU64::new(0);
-        let run_lane = || loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = batch.items.get(index) else {
-                break;
-            };
-            let resp = InferenceRequest::decode(item, shared)
+        let lease = self
+            .pool
+            .as_ref()
+            .map(|pool| pool.lease(batch.items.len().saturating_sub(1)));
+        let lanes = 1 + lease.as_ref().map_or(0, |l| l.granted());
+        let failed = fan_out(lanes, batch.items.len(), |index| {
+            let resp = InferenceRequest::decode(&batch.items[index], shared)
                 .and_then(|req| {
                     let source = sources[req.source.as_str()].clone()?;
                     self.item("/v1/run", req, &source, &outer)
                 })
                 .unwrap_or_else(ApiError::into_response);
-            if resp.status != 200 {
-                item_errors.fetch_add(1, Ordering::Relaxed);
-            }
             if !emit(index, &resp) {
                 cancel.cancel();
             }
-        };
-        let lease = self
-            .pool
-            .as_ref()
-            .map(|pool| pool.lease(batch.items.len().saturating_sub(1)));
-        let extra_lanes = lease.as_ref().map_or(0, |l| l.granted());
-        if extra_lanes == 0 {
-            run_lane();
-        } else {
-            let run_lane = &run_lane;
-            std::thread::scope(|scope| {
-                for _ in 0..extra_lanes {
-                    scope.spawn(run_lane);
-                }
-                run_lane();
-            });
-        }
+            resp.status != 200
+        });
         drop(lease);
 
         let fresh = prepared.len() + sources.values().filter(|s| s.is_err()).count();
         self.metrics.record_batch(
             batch.items.len() as u64,
-            item_errors.into_inner(),
+            failed.iter().filter(|&&f| f).count() as u64,
             prepared.len() as u64,
             resolvable.saturating_sub(fresh as u64),
         );
@@ -1326,22 +1306,42 @@ impl InferenceRequest {
     }
 
     fn cache_key(&self, endpoint: &str, canonical_program: &str) -> u64 {
-        let mut h = DefaultHasher::new();
-        endpoint.hash(&mut h);
-        canonical_program.hash(&mut h);
-        self.engine.name().hash(&mut h);
-        self.query.hash(&mut h);
-        self.particles.hash(&mut h);
-        self.seed.hash(&mut h);
-        self.maximize.hash(&mut h);
-        self.allow_zero_params.hash(&mut h);
-        self.passes.hash(&mut h);
-        for (name, value) in &self.bindings {
-            name.hash(&mut h);
-            value.to_string().hash(&mut h);
-        }
-        h.finish()
+        let options = (
+            self.query,
+            self.particles,
+            self.seed,
+            self.maximize,
+            self.allow_zero_params,
+        );
+        response_key(
+            endpoint,
+            canonical_program,
+            self.engine,
+            self.passes,
+            options,
+            &self.bindings,
+            &[],
+        )
     }
+}
+
+/// The one response-cache key, for `/v1/run`-style requests and `/v1/sweep`
+/// points alike: it hashes every field that can change a cached response's
+/// bytes. `options` holds the query, particles, seed, maximize and
+/// allow-zero-params fields. Fixed and swept bindings hash as separate
+/// lists, because a sweep frame's `point` names only the swept ones.
+fn response_key(
+    endpoint: &str,
+    program: &str,
+    engine: Engine,
+    passes: bool,
+    options: (Option<usize>, Option<usize>, Option<u64>, bool, bool),
+    bindings: &[(String, Rat)],
+    swept: &[(&String, &Rat)],
+) -> u64 {
+    let mut h = DefaultHasher::new();
+    (endpoint, program, engine, passes, options, bindings, swept).hash(&mut h);
+    h.finish()
 }
 
 /// The decoded body of a `/v1/batch` request.
@@ -1539,20 +1539,17 @@ impl SweepRequest {
     /// extra fields (`point`, `route`) and omit `stats`, so they live under
     /// sweep-specific keys rather than sharing `/v1/run` entries.
     fn point_key(&self, canonical_program: &str, point: &[Rat]) -> u64 {
-        let mut h = DefaultHasher::new();
-        "/v1/sweep".hash(&mut h);
-        canonical_program.hash(&mut h);
-        self.engine.name().hash(&mut h);
-        self.passes.hash(&mut h);
-        for (name, value) in &self.bindings {
-            name.hash(&mut h);
-            value.to_string().hash(&mut h);
-        }
-        for ((name, _), value) in self.sweep.iter().zip(point) {
-            name.hash(&mut h);
-            value.to_string().hash(&mut h);
-        }
-        h.finish()
+        let swept: Vec<(&String, &Rat)> = self.sweep.iter().map(|(n, _)| n).zip(point).collect();
+        let options = (None, None, None, false, false);
+        response_key(
+            "/v1/sweep",
+            canonical_program,
+            self.engine,
+            self.passes,
+            options,
+            &self.bindings,
+            &swept,
+        )
     }
 }
 
@@ -1597,7 +1594,7 @@ fn query_result_json(result: &QueryResult) -> Json {
 }
 
 /// Inference engines the service can run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Engine {
     Exact,
     /// The `bayonet-bdd` knowledge-compilation backend: same posteriors as
