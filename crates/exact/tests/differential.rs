@@ -85,7 +85,7 @@ fn build(source: &str, binding: Option<Rat>) -> (Model, Box<dyn Scheduler>) {
 fn options(threads: usize) -> ExactOptions {
     ExactOptions {
         threads,
-        // Force the work-stealing path even on tiny frontiers, so the
+        // Force the parallel path even on tiny frontiers, so the
         // differential comparison actually exercises parallel expansion.
         // (Under `BAYONET_TEST_ENGINE=bdd` both knobs are ignored and the
         // matrix degenerates to self-consistency, which is intended.)

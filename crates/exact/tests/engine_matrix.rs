@@ -67,7 +67,7 @@ fn options(engine: EngineKind, threads: usize) -> ExactOptions {
     ExactOptions {
         engine,
         threads,
-        // Force the work-stealing path for the enumeration engine even on
+        // Force the parallel path for the enumeration engine even on
         // tiny frontiers; the diagram backend ignores both knobs.
         par_threshold: 2,
         ..ExactOptions::default()
@@ -98,7 +98,7 @@ fn run(
 }
 
 /// Everything deterministic that both backends promise to agree on
-/// (`merge_hits` and `steals` excluded, see the module docs).
+/// (`merge_hits` excluded, see the module docs).
 fn shared_stats(a: &Analysis) -> (u64, u64, usize, usize) {
     (
         a.stats.steps,

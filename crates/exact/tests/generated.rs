@@ -5,7 +5,7 @@
 //! with ~200 seeded random chain programs from
 //! [`bayonet_lang::testgen::ProgramGen`] — flips, uniform draws, bounded
 //! duplication, and soft observes, each explored once sequentially and
-//! once with the work-stealing expander forced on.
+//! once with the parallel expander forced on.
 
 use bayonet_exact::{analyze, Analysis, ExactError, ExactOptions};
 use bayonet_lang::parse;

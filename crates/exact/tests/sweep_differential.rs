@@ -50,7 +50,7 @@ const THREADS: [usize; 2] = [1, 8];
 fn options(threads: usize) -> ExactOptions {
     ExactOptions {
         threads,
-        // Force the work-stealing path even on tiny frontiers so parallel
+        // Force the parallel path even on tiny frontiers so parallel
         // prefix replay is actually exercised (ignored by the bdd leg).
         par_threshold: 2,
         ..common::test_options()

@@ -13,5 +13,5 @@ fn fd_count_tracks_opens() {
     let after = open_fd_count().unwrap();
     assert!(after > before, "{before} -> {after}");
     drop(listener);
-    assert!(open_fd_count().unwrap() <= after - 1);
+    assert!(open_fd_count().unwrap() < after);
 }

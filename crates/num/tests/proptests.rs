@@ -208,10 +208,10 @@ proptest! {
             prop_assert_eq!((&ba - &bb).to_u128(), Some(a - b));
         }
         prop_assert_eq!(ba.cmp(&bb), a.cmp(&b));
-        if b != 0 {
-            let (q, r) = ba.div_rem(&bb);
-            prop_assert_eq!(q.to_u128(), Some(a / b));
-            prop_assert_eq!(r.to_u128(), Some(a % b));
+        if let (Some(q), Some(r)) = (a.checked_div(b), a.checked_rem(b)) {
+            let (bq, br) = ba.div_rem(&bb);
+            prop_assert_eq!(bq.to_u128(), Some(q));
+            prop_assert_eq!(br.to_u128(), Some(r));
         }
     }
 

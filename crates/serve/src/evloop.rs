@@ -29,14 +29,14 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bayonet_net::{Interest, PollEvent, Poller};
-use crossbeam::channel::{Sender, TrySendError};
 
 use crate::http::{ParseStatus, Request, RequestError, RequestParser, Response};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 
 /// Token of the accept listener.
 const TOKEN_LISTENER: u64 = 0;
@@ -237,7 +237,7 @@ pub(crate) struct LoopConfig {
     pub(crate) io_timeout: Duration,
     pub(crate) max_connections: usize,
     /// The bounded job queue the worker pool consumes.
-    pub(crate) jobs: Sender<Job>,
+    pub(crate) jobs: SyncSender<Job>,
     /// Shutdown flag; flip and wake to begin a graceful drain.
     pub(crate) shutdown: Arc<AtomicBool>,
 }
@@ -285,7 +285,7 @@ impl EventLoop {
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
-            self.cfg.metrics.record_wakeups(1);
+            self.cfg.metrics.add(Counter::LoopWakeups, 1);
 
             for &ev in &events {
                 match ev.token {
@@ -384,7 +384,8 @@ impl EventLoop {
         let _ = stream.set_nodelay(true);
         let token = self.next_token;
         self.next_token += 1;
-        self.cfg.metrics.conn_opened();
+        self.cfg.metrics.add(Counter::Accepted, 1);
+        self.cfg.metrics.add(Counter::OpenConnections, 1);
 
         let mut conn = Conn {
             stream,
@@ -398,7 +399,7 @@ impl EventLoop {
         // Over the connection cap: answer 503 immediately, same framing as
         // queue shed, and close once flushed.
         if self.conns.len() >= self.cfg.max_connections {
-            self.cfg.metrics.record_conn_shed();
+            self.cfg.metrics.add(Counter::ConnShed, 1);
             self.cfg
                 .metrics
                 .record_request("_conn_cap", 503, Duration::ZERO);
@@ -413,7 +414,7 @@ impl EventLoop {
             .add(conn.stream.as_raw_fd(), token, Interest::BOTH)
             .is_err()
         {
-            self.cfg.metrics.conn_closed();
+            self.cfg.metrics.add(Counter::OpenConnections, -1);
             return;
         }
         self.timers.insert((conn.deadline, token));
@@ -530,10 +531,6 @@ impl EventLoop {
 
     fn answer_parse_error(&mut self, token: u64, err: &RequestError) {
         let response = match err {
-            RequestError::Io(_) => {
-                self.teardown(token);
-                return;
-            }
             RequestError::TooLarge => Response::json(
                 413,
                 r#"{"ok":false,"error":{"kind":"too_large","message":"request exceeds size limits"}}"#,
@@ -577,12 +574,12 @@ impl EventLoop {
         };
         match self.cfg.jobs.try_send(Job { request, out }) {
             Ok(()) => {
-                self.cfg.metrics.queue_depth_add(1);
+                self.cfg.metrics.add(Counter::QueueDepth, 1);
             }
             Err(TrySendError::Full(job)) => {
                 // Same shed contract as before: an immediate, fully framed
                 // 503 with Retry-After, never queued latency.
-                self.cfg.metrics.record_conn_shed();
+                self.cfg.metrics.add(Counter::ConnShed, 1);
                 self.cfg
                     .metrics
                     .record_request("_queue", 503, Duration::ZERO);
@@ -697,7 +694,7 @@ impl EventLoop {
                     // Slow loris: the request never completed. Answer 408
                     // and close; the response write gets one io_timeout of
                     // its own.
-                    self.cfg.metrics.record_read_timeout();
+                    self.cfg.metrics.add(Counter::ReadTimeouts, 1);
                     self.cfg.metrics.record_request("_io", 408, Duration::ZERO);
                     {
                         let Some(conn) = self.conns.get_mut(&token) else {
@@ -714,7 +711,7 @@ impl EventLoop {
                     self.flush_conn(token);
                 }
                 TimerKind::Write => {
-                    self.cfg.metrics.record_write_timeout();
+                    self.cfg.metrics.add(Counter::WriteTimeouts, 1);
                     self.teardown(token);
                 }
             }
@@ -732,7 +729,7 @@ impl EventLoop {
         // Unblock and fail any producer still writing to this connection;
         // for a streaming batch this is what propagates cancellation.
         conn.out.close();
-        self.cfg.metrics.conn_closed();
+        self.cfg.metrics.add(Counter::OpenConnections, -1);
         // `conn.stream` drops here, closing the fd.
     }
 }

@@ -63,8 +63,8 @@ mod service;
 
 pub use cache::LruCache;
 pub use http::{
-    read_request, ChunkedWriter, ParseStatus, Request, RequestError, RequestParser, Response,
-    MAX_BODY_BYTES, MAX_HEAD_BYTES,
+    ChunkedWriter, ParseStatus, Request, RequestError, RequestParser, Response, MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
 };
 pub use json::{parse as parse_json, Json, ParseError as JsonParseError};
 pub use metrics::Metrics;

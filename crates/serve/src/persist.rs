@@ -34,11 +34,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bayonet_net::atomic_write;
-use crossbeam::channel::{self, Sender};
 
 /// Name of the segment file inside `--cache-dir`.
 pub const SEGMENT_FILE: &str = "results.seg";
@@ -97,7 +97,7 @@ enum Msg {
 /// Dropping the store flushes every queued append (the writer drains its
 /// channel) and joins the thread, so a graceful shutdown loses nothing.
 pub struct PersistentStore {
-    tx: Option<Sender<Msg>>,
+    tx: Option<SyncSender<Msg>>,
     writer: Option<JoinHandle<()>>,
     counters: Arc<PersistCounters>,
 }
@@ -127,7 +127,7 @@ impl PersistentStore {
         let size = file.metadata()?.len();
         counters.size_bytes.store(size, Ordering::Relaxed);
 
-        let (tx, rx) = channel::bounded::<Msg>(WRITE_QUEUE_CAPACITY);
+        let (tx, rx) = sync_channel::<Msg>(WRITE_QUEUE_CAPACITY);
         let writer_counters = Arc::clone(&counters);
         let max_bytes = config.max_bytes.max(1);
         let writer = std::thread::spawn(move || {
@@ -169,7 +169,7 @@ impl Drop for PersistentStore {
 }
 
 fn writer_loop(
-    rx: channel::Receiver<Msg>,
+    rx: Receiver<Msg>,
     mut file: File,
     path: PathBuf,
     mut size: u64,

@@ -16,16 +16,16 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bayonet_exact::ComputePool;
-use crossbeam::channel;
 
 use crate::evloop::{loop_shared, EventLoop, Job, LoopConfig, LoopShared};
 use crate::http::{Request, Response};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::persist::{PersistConfig, DEFAULT_CACHE_MAX_BYTES};
 use crate::service::{Service, ServiceOptions, DEFAULT_CACHE_ENTRIES};
 
@@ -207,18 +207,22 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     })?);
     let metrics = service.metrics();
     let shutdown = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = channel::bounded::<Job>(config.queue_capacity);
+    let (tx, rx) = sync_channel::<Job>(config.queue_capacity);
+    let rx = Arc::new(Mutex::new(rx));
 
     let mut workers = Vec::with_capacity(threads);
     for _ in 0..threads {
-        let rx = rx.clone();
+        let rx = Arc::clone(&rx);
         let service = Arc::clone(&service);
-        workers.push(std::thread::spawn(move || {
-            while let Ok(mut job) = rx.recv() {
-                service.metrics().queue_depth_add(-1);
-                serve_guarded(&service, &job.request, &mut job.out);
-                job.out.finish();
-            }
+        workers.push(std::thread::spawn(move || loop {
+            // The queue guard drops at the end of this statement, so the
+            // other workers can take jobs while this one serves.
+            let Ok(mut job) = rx.lock().expect("job queue mutex").recv() else {
+                break;
+            };
+            service.metrics().add(Counter::QueueDepth, -1);
+            serve_guarded(&service, &job.request, &mut job.out);
+            job.out.finish();
         }));
     }
 
@@ -272,7 +276,7 @@ fn serve_guarded(service: &Service, request: &Request, out: &mut (impl Write + S
         service.serve(request, &mut out)
     }));
     if served.is_err() {
-        service.metrics().record_worker_panic();
+        service.metrics().add(Counter::WorkerPanics, 1);
         if !out.written {
             let body = r#"{"ok":false,"error":{"kind":"internal","message":"internal error while serving the request"}}"#;
             let _ = Response::json(500, body).write_to(&mut out);

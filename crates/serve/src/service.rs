@@ -45,19 +45,19 @@ use std::time::{Duration, Instant};
 
 use bayonet_approx::{rejection, smc, ApproxError, ApproxOptions, Estimate};
 use bayonet_exact::{
-    analyze, answer_cached, fan_out, plan_model, synthesize_result, ComputePool, EngineKind,
-    ExactError, ExactOptions, FeasibilityCache, Objective, Plan, PlanDecision, PlanEngine,
-    PlannerConfig, QueryResult, SweepResult, SynthesisOptions,
+    analyze, answer_cached, fan_out, plan_model, synthesize_result, Analysis, ComputePool,
+    EngineKind, ExactError, ExactOptions, FeasibilityCache, Objective, Plan, PlanDecision,
+    PlanEngine, PlannerConfig, QueryResult, SweepResult, SynthesisOptions,
 };
 use bayonet_lang::{check, parse, pretty_program, Program};
 use bayonet_net::opt::optimize;
-use bayonet_net::{compile, scheduler_for, Deadline, Model};
+use bayonet_net::{compile, scheduler_for, CompiledQuery, Deadline, Model};
 use bayonet_num::Rat;
 
 use crate::cache::LruCache;
 use crate::http::{ChunkedWriter, Request, Response};
 use crate::json::{self, Json};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::persist::{PersistConfig, PersistentStore};
 
 /// Default result-cache capacity (entries).
@@ -183,7 +183,7 @@ impl Service {
                     for (key, body) in loaded {
                         c.insert(key, Response::json(200, body));
                     }
-                    metrics.set_cache_evictions(c.evictions());
+                    metrics.set(Counter::CacheEvictions, c.evictions());
                 }
                 metrics.bind_persist(store.counters());
                 Some(store)
@@ -437,8 +437,11 @@ impl Service {
                 .opt_info()
                 .expect("optimize attaches its report")
                 .report;
+            self.metrics.add(Counter::OptPassRuns, r.pass_runs as i64);
             self.metrics
-                .record_opt(r.pass_runs, r.flips_eliminated, r.guards_folded);
+                .add(Counter::OptFlipsEliminated, r.flips_eliminated as i64);
+            self.metrics
+                .add(Counter::OptGuardsFolded, r.guards_folded as i64);
             if keep {
                 kept.lock()
                     .expect("kept mutex")
@@ -455,7 +458,11 @@ impl Service {
             let mut cache = self.cache.lock().expect("cache mutex");
             keys.iter().map(|key| cache.get(key).cloned()).collect()
         };
-        self.metrics.record_cache(hits.is_some());
+        let counter = match hits {
+            Some(_) => Counter::CacheHits,
+            None => Counter::CacheMisses,
+        };
+        self.metrics.add(counter, 1);
         hits
     }
 
@@ -470,7 +477,7 @@ impl Service {
             cache.insert(key, resp.clone());
             cache.evictions()
         };
-        self.metrics.set_cache_evictions(evictions);
+        self.metrics.set(Counter::CacheEvictions, evictions);
         if let Some(store) = &self.persist {
             store.append(key, resp.body.clone());
         }
@@ -478,7 +485,7 @@ impl Service {
 
     /// Exact-engine options for one request — its `threads` hint clamped to
     /// the pool capacity, plus the shared pool — with a fresh per-request
-    /// feasibility memo table, returned for [`Metrics::record_feasibility`].
+    /// feasibility memo table, returned for [`Service::record_feasibility`].
     fn exact_options(
         &self,
         threads: Option<usize>,
@@ -530,7 +537,7 @@ impl Service {
                 Ok(plan)
             }
             PlanDecision::Infeasible { needed_ns } => {
-                self.metrics.record_planner_rejection();
+                self.metrics.add(Counter::PlannerRejections, 1);
                 Err(infeasible_response(&plan, needed_ns))
             }
         }
@@ -548,24 +555,11 @@ impl Service {
         plan: Option<&Plan>,
     ) -> Result<Response, ApiError> {
         let started = Instant::now();
-        let scheduler = scheduler_for(model);
         let response = match req.engine {
             Engine::Exact | Engine::Bdd => {
-                let (mut opts, feasibility) = self.exact_options(req.threads, req.passes, deadline);
-                if req.engine == Engine::Bdd {
-                    opts.engine = EngineKind::Bdd;
-                }
-                let analysis = analyze(model, &*scheduler, &opts).map_err(|e| exact_error(&e))?;
-                self.metrics.record_engine(&analysis.stats);
-                let mut results: Vec<QueryResult> = Vec::with_capacity(model.queries.len());
-                for q in &model.queries {
-                    results.push(
-                        answer_cached(model, &analysis, q, opts.fm_pruning, Some(&feasibility))
-                            .map_err(|e| exact_error(&e))?,
-                    );
-                }
-                let (feas_hits, feas_misses) = feasibility.counts();
-                self.metrics.record_feasibility(feas_hits, feas_misses);
+                let engine = req.engine.exact_kind();
+                let (analysis, results) =
+                    self.exact_run(req, model, engine, deadline, &model.queries)?;
                 let z = analysis.total_terminal_mass();
                 let discarded = analysis.total_discarded_mass();
 
@@ -605,6 +599,7 @@ impl Service {
                 ])
             }
             Engine::Smc | Engine::Rejection => {
+                let scheduler = scheduler_for(model);
                 let opts = ApproxOptions {
                     particles: req.particles.unwrap_or(1000),
                     seed: req.seed.unwrap_or(0),
@@ -655,6 +650,39 @@ impl Service {
         Ok(Response::json(200, response.to_string()))
     }
 
+    /// One exact run: analyzes `model` on `engine` with the request's
+    /// options and answers `queries` against it, folding the engine and
+    /// feasibility-cache work into the metrics.
+    fn exact_run(
+        &self,
+        req: &InferenceRequest,
+        model: &Model,
+        engine: EngineKind,
+        deadline: Deadline,
+        queries: &[CompiledQuery],
+    ) -> Result<(Analysis, Vec<QueryResult>), ApiError> {
+        let (mut opts, feasibility) = self.exact_options(req.threads, req.passes, deadline);
+        opts.engine = engine;
+        let analysis =
+            analyze(model, &*scheduler_for(model), &opts).map_err(|e| exact_error(&e))?;
+        self.metrics.record_engine(&analysis.stats);
+        let results = queries
+            .iter()
+            .map(|q| answer_cached(model, &analysis, q, opts.fm_pruning, Some(&feasibility)))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| exact_error(&e))?;
+        self.record_feasibility(&feasibility);
+        Ok((analysis, results))
+    }
+
+    /// Folds one request's feasibility-cache totals into the metrics, from
+    /// the final counts so analyze- and answer-phase checks count once.
+    fn record_feasibility(&self, feasibility: &FeasibilityCache) {
+        let (hits, misses) = feasibility.counts();
+        self.metrics.add(Counter::FeasibilityHits, hits as i64);
+        self.metrics.add(Counter::FeasibilityMisses, misses as i64);
+    }
+
     fn synthesize(
         &self,
         req: &InferenceRequest,
@@ -663,15 +691,9 @@ impl Service {
     ) -> Result<Response, ApiError> {
         let query_idx = req.query.unwrap_or(0);
         check_query_index(query_idx, model.queries.len())?;
-        let (opts, feasibility) = self.exact_options(req.threads, req.passes, deadline);
-        let analysis =
-            analyze(model, &*scheduler_for(model), &opts).map_err(|e| exact_error(&e))?;
-        self.metrics.record_engine(&analysis.stats);
-        let query = &model.queries[query_idx];
-        let result = answer_cached(model, &analysis, query, opts.fm_pruning, Some(&feasibility))
-            .map_err(|e| exact_error(&e))?;
-        let (feas_hits, feas_misses) = feasibility.counts();
-        self.metrics.record_feasibility(feas_hits, feas_misses);
+        let query = std::slice::from_ref(&model.queries[query_idx]);
+        let (_, mut results) = self.exact_run(req, model, EngineKind::Enum, deadline, query)?;
+        let result = results.pop().expect("one query, one result");
         let objective = match req.maximize {
             true => Objective::Maximize,
             false => Objective::Minimize,
@@ -790,11 +812,17 @@ impl Service {
         drop(lease);
 
         let fresh = prepared.len() + sources.values().filter(|s| s.is_err()).count();
-        self.metrics.record_batch(
-            batch.items.len() as u64,
-            failed.iter().filter(|&&f| f).count() as u64,
-            prepared.len() as u64,
-            resolvable.saturating_sub(fresh as u64),
+        let metrics = &self.metrics;
+        metrics.add(Counter::Batches, 1);
+        metrics.add(Counter::BatchItems, batch.items.len() as i64);
+        metrics.add(
+            Counter::BatchItemErrors,
+            failed.iter().filter(|&&f| f).count() as i64,
+        );
+        metrics.add(Counter::BatchCompiles, prepared.len() as i64);
+        metrics.add(
+            Counter::BatchSourceReuse,
+            resolvable.saturating_sub(fresh as u64) as i64,
         );
         Ok(())
     }
@@ -846,11 +874,7 @@ impl Service {
 
         let deadline = item_deadline(&Deadline::unlimited(), sweep.timeout_ms);
         let (mut opts, feasibility) = self.exact_options(sweep.threads, sweep.passes, deadline);
-        opts.engine = match sweep.engine {
-            Engine::Bdd => EngineKind::Bdd,
-            Engine::Auto => EngineKind::Auto,
-            _ => EngineKind::Enum,
-        };
+        opts.engine = sweep.engine.exact_kind();
         let result = bayonet_exact::sweep(&model, &param_ids, &points, &opts)
             .map_err(|e| exact_error(&e))?;
         self.metrics.record_engine(&result.prefix_stats);
@@ -872,8 +896,7 @@ impl Service {
             self.store(keys[i], &resp);
             emit(i, &resp);
         }
-        let (feas_hits, feas_misses) = feasibility.counts();
-        self.metrics.record_feasibility(feas_hits, feas_misses);
+        self.record_feasibility(&feasibility);
         self.metrics.record_sweep(
             result.route.name(),
             points.len() as u64,
@@ -1619,6 +1642,16 @@ impl Engine {
             Engine::Smc => "smc",
             Engine::Rejection => "rejection",
             Engine::Auto => "auto",
+        }
+    }
+
+    /// The exact-engine backend this selects (enumeration unless `bdd` or
+    /// `auto`).
+    fn exact_kind(self) -> EngineKind {
+        match self {
+            Engine::Bdd => EngineKind::Bdd,
+            Engine::Auto => EngineKind::Auto,
+            _ => EngineKind::Enum,
         }
     }
 }

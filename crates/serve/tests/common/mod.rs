@@ -42,7 +42,7 @@ pub const TINY_PARAM: &str = r#"
 "#;
 
 /// Gossip on K4 (examples/bay/gossip_k4.bay): heavy enough that a 1 ms
-/// deadline reliably expires mid-exploration and the work-stealing
+/// deadline reliably expires mid-exploration and the parallel
 /// expander engages.
 pub const GOSSIP_K4: &str = r#"
     packet_fields { dst }
