@@ -283,17 +283,14 @@ fn run_sweep_streams_one_frame_per_grid_point() {
         );
     }
     // K = 1: the seed node always infects itself, so the probability is 1,
-    // and the query handlers never read K, so the route is symbolic.
+    // and the handlers never read K, so one bound exploration answers every
+    // point (route `prefix`).
     assert!(
         frames[0].contains("1 \\u{2248} 1.0000") || frames[0].contains("1 ≈ 1.0000"),
         "{}",
         frames[0]
     );
-    assert!(
-        frames[0].contains("\"route\":\"symbolic\""),
-        "{}",
-        frames[0]
-    );
+    assert!(frames[0].contains("\"route\":\"prefix\""), "{}", frames[0]);
 }
 
 #[test]

@@ -4,23 +4,33 @@
 //! The paper's headline use case is what-if analysis — the same program
 //! under many link-loss rates or protocol constants (Figure 3). Running
 //! every grid point from scratch repeats the entire exploration; this
-//! module shares it three ways, picking the cheapest route that provably
-//! preserves **bit-identical** results against independent pointwise runs:
+//! module explores once and answers many points from the result, picking
+//! the cheapest route that provably preserves **bit-identical** results
+//! against independent pointwise runs.
 //!
-//! * [`SweepRoute::Symbolic`] — leave the swept parameters unbound and run
-//!   the symbolic engine once. Its piecewise cells answer every grid point
-//!   inside a cell exactly; per-point work is a sign check per cell atom
-//!   plus one linear-expression evaluation.
-//! * [`SweepRoute::Prefix`] — bind the first point and explore with a
-//!   [`ParamWatch`] on the swept parameters. Every global step that
-//!   completes without reading a swept binding is independent of the grid,
-//!   so the exploration state up to the *first* read (the shared prefix) is
-//!   snapshotted once and replayed across points; only the suffix runs per
-//!   point. Programs whose queries (but not handlers) mention the swept
-//!   parameter share the entire exploration.
-//! * [`SweepRoute::PerPoint`] — full independent runs (the diagram backend,
-//!   and the fallback when nothing can be shared). Trivially identical to
-//!   pointwise runs.
+//! Under enumeration every sweep starts with a *probe*: bind the first
+//! point and explore with a [`ParamWatch`] on the swept parameters. The
+//! probe's model is fully bound, so it keeps the symmetry reduction a
+//! pointwise run gets. What the watch saw picks the route:
+//!
+//! * [`SweepRoute::Prefix`], shared whole — no handler or initializer read
+//!   a swept binding (the parameter appears only in the queries). The
+//!   probe's one exploration answers every point; per-point work is query
+//!   answering alone.
+//! * [`SweepRoute::Symbolic`] — a swept binding was read, and the swept
+//!   parameters are the only unbound ones. One symbolic run with them
+//!   unbound answers every point inside a piecewise cell exactly;
+//!   per-point work is a sign check per cell atom plus one
+//!   linear-expression evaluation.
+//! * [`SweepRoute::Prefix`], forked — a swept binding was read and the
+//!   symbolic run declined (or other parameters are unbound). Every global
+//!   step before the first read is independent of the grid, so the probe's
+//!   state just before that step (the shared prefix) is replayed across
+//!   points; only the suffix runs per point.
+//! * [`SweepRoute::PerPoint`] — full independent runs under the diagram
+//!   backend. Trivially identical to pointwise runs. An enumeration sweep
+//!   that can share nothing runs the same way but reports
+//!   [`SweepRoute::Prefix`] with zero shared steps.
 //!
 //! Identity holds because the engine's rational arithmetic is exact and
 //! canonical: masses summed in any grouping produce the same [`Rat`], and
@@ -43,13 +53,18 @@ use crate::query::{answer_cached, CellAnswer, QueryResult};
 /// How a sweep's work was shared across grid points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepRoute {
-    /// One symbolic run; points answered from its piecewise cells.
+    /// One symbolic run; points answered from its piecewise cells. Taken
+    /// only when the probe saw a swept parameter read (a guard or a
+    /// probability) and the swept parameters are the only unbound ones: a
+    /// query-only parameter is answered from the probe's bound, symmetry-
+    /// reduced exploration instead.
     Symbolic,
-    /// A shared exploration prefix replayed across points, forked at the
-    /// first read of a swept parameter. `shared_steps == 0` means nothing
-    /// could be shared and every point ran in full.
+    /// The probe's exploration shared across points: whole when it read no
+    /// swept parameter, otherwise its prefix up to the first read, replayed
+    /// per point. `shared_steps == 0` means nothing could be shared and
+    /// every point ran in full.
     Prefix,
-    /// Full independent per-point runs (diagram backend, or no queries).
+    /// Full independent per-point runs (the diagram backend).
     PerPoint,
 }
 
@@ -91,8 +106,9 @@ pub struct SweepResult {
     /// would) for a single point.
     pub engine: EngineKind,
     /// Statistics of the work done once and shared by every point: the
-    /// symbolic run ([`SweepRoute::Symbolic`]) or the shared prefix
-    /// ([`SweepRoute::Prefix`]). Zero under [`SweepRoute::PerPoint`].
+    /// symbolic run ([`SweepRoute::Symbolic`]) or the probe's shared
+    /// exploration, whole or up to its fork ([`SweepRoute::Prefix`]). Zero
+    /// under [`SweepRoute::PerPoint`].
     pub prefix_stats: EngineStats,
     /// Global steps of the shared prefix (equals `prefix_stats.steps`;
     /// under [`SweepRoute::Symbolic`] the whole exploration was shared).
@@ -122,6 +138,13 @@ impl SweepResult {
 /// one value per swept parameter, in the same order. Non-swept parameters
 /// keep whatever bindings `model` carries; swept parameters are rebound per
 /// point (any binding they carry in `model` is ignored).
+///
+/// Under enumeration the sweep first probes: it explores the first point's
+/// bound model while watching the swept parameters. A probe that read none
+/// answers every point by itself. Otherwise the symbolic route is tried
+/// (when the swept parameters are the only unbound ones), and if it
+/// declines the probe's prefix is replayed per point; nothing is explored
+/// twice. The diagram backend runs every point in full.
 ///
 /// The result at every point is bit-identical to compiling the same model,
 /// binding the point's values, and running [`analyze`] + query answering —
@@ -183,10 +206,12 @@ pub fn sweep(
         }
         explicit => explicit,
     };
-    let opts = ExactOptions {
+    // One feasibility cache for the whole sweep: the probe, a symbolic
+    // attempt and every point's run or answer share it.
+    let (_, opts, _) = run_cache_opts(&ExactOptions {
         engine,
         ..opts.clone()
-    };
+    });
 
     if engine == EngineKind::Bdd && base.num_nodes() <= 64 {
         // The diagram backend has no incremental frontier to snapshot;
@@ -194,14 +219,31 @@ pub fn sweep(
         return Ok(per_point_route(&base, &*scheduler, &opts, params, points));
     }
 
-    // Symbolic route: only sound to evaluate cells at a point when the
-    // swept parameters are the *only* unbound ones.
+    // Probe first, on the bound model, so the exploration keeps its
+    // symmetry group. When no swept parameter was read, that one run
+    // answers every point and nothing else is tried.
+    let prefix = match probe(&base, &*scheduler, &opts, params, points) {
+        Probe::Complete(analysis) => {
+            return Ok(shared_route(&base, &opts, params, points, analysis))
+        }
+        Probe::Fork(prefix) => Some(prefix),
+        Probe::Nothing => None,
+    };
+    // The probe read a swept parameter (or shared nothing). One symbolic run
+    // can still answer every point, but only when the swept parameters are
+    // the *only* unbound ones (cells are evaluated at fully-bound points).
     if base_unbound_is_exactly(&base, params) {
         if let Some(result) = try_symbolic_route(&base, &*scheduler, &opts, params, points) {
             return Ok(result);
         }
     }
-    Ok(prefix_route(&base, &*scheduler, &opts, params, points))
+    Ok(match prefix {
+        Some(prefix) => replay_route(&base, &*scheduler, &opts, params, points, prefix),
+        None => SweepResult {
+            route: SweepRoute::Prefix,
+            ..per_point_route(&base, &*scheduler, &opts, params, points)
+        },
+    })
 }
 
 /// Binds each swept parameter to the point's value.
@@ -253,8 +295,8 @@ fn value_at(value: &Val, assign: &Assignment) -> Option<Rat> {
 /// One symbolic run answers every point: analyze with the swept parameters
 /// unbound, then select + evaluate each point's cell. Returns `None` when
 /// anything resists (symbolic arguments to randomness, too many cell atoms,
-/// an undecidable guard, …) — the caller falls back to the prefix route,
-/// which handles all of those by running concrete.
+/// an undecidable guard, …) — the caller falls back to replaying the
+/// probe's prefix, which handles all of those by running concrete.
 fn try_symbolic_route(
     base: &Model,
     scheduler: &dyn Scheduler,
@@ -262,13 +304,8 @@ fn try_symbolic_route(
     params: &[ParamId],
     points: &[Vec<Rat>],
 ) -> Option<SweepResult> {
-    let (run_cache, opts, _) = run_cache_opts(opts);
-    let analysis = analyze(base, scheduler, &opts).ok()?;
-    let mut query_results = Vec::with_capacity(base.queries.len());
-    for q in &base.queries {
-        query_results
-            .push(answer_cached(base, &analysis, q, opts.fm_pruning, Some(&run_cache)).ok()?);
-    }
+    let analysis = analyze(base, scheduler, opts).ok()?;
+    let query_results = answer_point(base, &analysis, opts).ok()?;
 
     // Validate and evaluate every point before committing to the route.
     let mut out_points: Vec<Result<SweepPointResult, ExactError>> =
@@ -341,156 +378,159 @@ fn try_symbolic_route(
     })
 }
 
-/// Shared-prefix route: explore with the first point's bindings and a
-/// [`ParamWatch`] on the swept parameters; snapshot the exploration state
-/// before the first step that read one, and replay only the suffix per
-/// point. When the watch never trips, the entire exploration is shared and
-/// per-point work is query answering alone.
-fn prefix_route(
+/// Outcome of the probe run: a completed exploration that read no swept
+/// parameter, the exploration state just before the first step that read
+/// one (the shared prefix), or nothing shareable.
+enum Probe {
+    Complete(Analysis),
+    Fork(EnumState),
+    Nothing,
+}
+
+/// Explores with the first point's bindings and a [`ParamWatch`] on the
+/// swept parameters, stopping at the first step that reads one. The probe
+/// holds its worker lease only while it explores, so a symbolic attempt
+/// after it can lease the crew.
+fn probe(
     base: &Model,
     scheduler: &dyn Scheduler,
     opts: &ExactOptions,
     params: &[ParamId],
     points: &[Vec<Rat>],
-) -> SweepResult {
-    let (run_cache, opts, _) = run_cache_opts(opts);
-    let (_lease, workers) = lease_workers(&opts);
-    let bound = step_bound(base, &opts);
-
-    // Outcome of the probe run: the exploration state at the fork point
-    // (shared prefix), a completed shared analysis, or nothing shareable.
-    enum Probe {
-        Fork(EnumState),
-        Complete(Analysis),
-        Nothing,
-    }
-
-    let probe_outcome = 'probe: {
-        if points.is_empty() {
-            break 'probe Probe::Nothing;
-        }
-        let mut probe = base.clone();
-        bind_point(&mut probe, params, &points[0]);
-        let watch = Arc::new(ParamWatch::new(probe.params.len(), params));
-        probe.set_param_watch(Arc::clone(&watch));
-
-        let Ok(mut state) = EnumState::init(&probe, scheduler, &opts) else {
-            // Initialization failed; whether the error depends on the grid
-            // is unknown, so let every point reproduce it independently.
-            break 'probe Probe::Nothing;
-        };
-        if watch.hit() {
-            // A state initializer read a swept parameter: no shared prefix.
-            break 'probe Probe::Nothing;
-        }
-        loop {
-            if state.done() {
-                break 'probe Probe::Complete(state.finish());
-            }
-            let snapshot = state.clone();
-            match state.step(&probe, scheduler, &opts, workers, bound) {
-                Ok(()) => {
-                    if watch.hit() {
-                        // This step consumed a swept binding: its successors
-                        // are point-specific. The pre-step snapshot is the
-                        // shared prefix.
-                        break 'probe Probe::Fork(snapshot);
-                    }
-                }
-                Err(_) => {
-                    // The erroring step may or may not depend on the grid;
-                    // keep whatever prefix is provably shared and let each
-                    // point re-derive its own (identical or not) error.
-                    break 'probe if watch.hit() {
-                        Probe::Fork(snapshot)
-                    } else {
-                        Probe::Nothing
-                    };
-                }
-            }
-        }
+) -> Probe {
+    let Some(first) = points.first() else {
+        return Probe::Nothing;
     };
+    let (_lease, workers) = lease_workers(opts);
+    let bound = step_bound(base, opts);
+    let mut probe = base.clone();
+    bind_point(&mut probe, params, first);
+    let watch = Arc::new(ParamWatch::new(probe.params.len(), params));
+    probe.set_param_watch(Arc::clone(&watch));
 
-    let answer_point =
-        |model: &Model, analysis: &Analysis| -> Result<Vec<QueryResult>, ExactError> {
-            let mut results = Vec::with_capacity(model.queries.len());
-            for q in &model.queries {
-                results.push(answer_cached(
-                    model,
-                    analysis,
-                    q,
-                    opts.fm_pruning,
-                    Some(&run_cache),
-                )?);
-            }
-            Ok(results)
-        };
+    let Ok(mut state) = EnumState::init(&probe, scheduler, opts) else {
+        // Initialization failed; whether the error depends on the grid is
+        // unknown, so let every point reproduce it independently.
+        return Probe::Nothing;
+    };
+    if watch.hit() {
+        // A state initializer read a swept parameter: no shared prefix.
+        return Probe::Nothing;
+    }
+    loop {
+        if state.done() {
+            return Probe::Complete(state.finish());
+        }
+        let snapshot = state.clone();
+        match state.step(&probe, scheduler, opts, workers, bound) {
+            // This step consumed a swept binding: its successors are
+            // point-specific. The pre-step snapshot is the shared prefix.
+            Ok(()) if watch.hit() => return Probe::Fork(snapshot),
+            Ok(()) => {}
+            // The erroring step may or may not depend on the grid; keep
+            // whatever prefix is provably shared and let each point
+            // re-derive its own (identical or not) error.
+            Err(_) if watch.hit() => return Probe::Fork(snapshot),
+            Err(_) => return Probe::Nothing,
+        }
+    }
+}
 
-    match probe_outcome {
-        Probe::Complete(analysis) => {
-            // The whole exploration is grid-independent; per-point work is
-            // query answering against the shared posterior.
-            let shared_steps = analysis.stats.steps;
-            let points_out = points
-                .iter()
-                .map(|point| {
-                    let mut pm = base.clone();
-                    bind_point(&mut pm, params, point);
-                    Ok(SweepPointResult {
-                        results: answer_point(&pm, &analysis)?,
-                        z: analysis.total_terminal_mass(),
-                        discarded: analysis.total_discarded_mass(),
-                        stats: EngineStats::default(),
-                    })
-                })
-                .collect();
-            SweepResult {
-                route: SweepRoute::Prefix,
-                engine: opts.engine,
-                shared_steps,
-                prefix_stats: analysis.stats,
-                points: points_out,
+/// Answers `model`'s queries against `analysis`.
+fn answer_point(
+    model: &Model,
+    analysis: &Analysis,
+    opts: &ExactOptions,
+) -> Result<Vec<QueryResult>, ExactError> {
+    model
+        .queries
+        .iter()
+        .map(|q| {
+            answer_cached(
+                model,
+                analysis,
+                q,
+                opts.fm_pruning,
+                opts.feasibility_cache.as_deref(),
+            )
+        })
+        .collect()
+}
+
+/// The whole exploration is grid-independent: per-point work is query
+/// answering against the probe's shared, symmetry-reduced posterior.
+fn shared_route(
+    base: &Model,
+    opts: &ExactOptions,
+    params: &[ParamId],
+    points: &[Vec<Rat>],
+    analysis: Analysis,
+) -> SweepResult {
+    let points_out = points
+        .iter()
+        .map(|point| {
+            let mut pm = base.clone();
+            bind_point(&mut pm, params, point);
+            Ok(SweepPointResult {
+                results: answer_point(&pm, &analysis, opts)?,
+                z: analysis.total_terminal_mass(),
+                discarded: analysis.total_discarded_mass(),
+                stats: EngineStats::default(),
+            })
+        })
+        .collect();
+    SweepResult {
+        route: SweepRoute::Prefix,
+        engine: opts.engine,
+        shared_steps: analysis.stats.steps,
+        prefix_stats: analysis.stats,
+        points: points_out,
+    }
+}
+
+/// Replays the probe's shared prefix once per point, running only the
+/// point-specific suffix.
+fn replay_route(
+    base: &Model,
+    scheduler: &dyn Scheduler,
+    opts: &ExactOptions,
+    params: &[ParamId],
+    points: &[Vec<Rat>],
+    prefix: EnumState,
+) -> SweepResult {
+    let (_lease, workers) = lease_workers(opts);
+    let bound = step_bound(base, opts);
+    let prefix_stats = prefix.stats.clone();
+    let points_out = points
+        .iter()
+        .map(|point| {
+            let mut pm = base.clone();
+            bind_point(&mut pm, params, point);
+            let mut state = prefix.clone();
+            // Charge this point only for its suffix; `steps` stays absolute
+            // so the step bound behaves pointwise.
+            state.stats = EngineStats {
+                steps: prefix_stats.steps,
+                ..EngineStats::default()
+            };
+            while !state.done() {
+                state.step(&pm, scheduler, opts, workers, bound)?;
             }
-        }
-        Probe::Fork(prefix) => {
-            let prefix_stats = prefix.stats.clone();
-            let points_out = points
-                .iter()
-                .map(|point| {
-                    let mut pm = base.clone();
-                    bind_point(&mut pm, params, point);
-                    let mut state = prefix.clone();
-                    // Charge this point only for its suffix; `steps` stays
-                    // absolute so the step bound behaves pointwise.
-                    state.stats = EngineStats {
-                        steps: prefix_stats.steps,
-                        ..EngineStats::default()
-                    };
-                    while !state.done() {
-                        state.step(&pm, scheduler, &opts, workers, bound)?;
-                    }
-                    let analysis = state.finish();
-                    Ok(SweepPointResult {
-                        results: answer_point(&pm, &analysis)?,
-                        z: analysis.total_terminal_mass(),
-                        discarded: analysis.total_discarded_mass(),
-                        stats: analysis.stats,
-                    })
-                })
-                .collect();
-            SweepResult {
-                route: SweepRoute::Prefix,
-                engine: opts.engine,
-                shared_steps: prefix_stats.steps,
-                prefix_stats,
-                points: points_out,
-            }
-        }
-        Probe::Nothing => {
-            let mut result = per_point_route(base, scheduler, &opts, params, points);
-            result.route = SweepRoute::Prefix;
-            result
-        }
+            let analysis = state.finish();
+            Ok(SweepPointResult {
+                results: answer_point(&pm, &analysis, opts)?,
+                z: analysis.total_terminal_mass(),
+                discarded: analysis.total_discarded_mass(),
+                stats: analysis.stats,
+            })
+        })
+        .collect();
+    SweepResult {
+        route: SweepRoute::Prefix,
+        engine: opts.engine,
+        shared_steps: prefix_stats.steps,
+        prefix_stats,
+        points: points_out,
     }
 }
 
@@ -502,27 +542,16 @@ fn per_point_route(
     params: &[ParamId],
     points: &[Vec<Rat>],
 ) -> SweepResult {
-    let (run_cache, opts, _) = run_cache_opts(opts);
     let points_out = points
         .iter()
         .map(|point| {
             let mut pm = base.clone();
             bind_point(&mut pm, params, point);
-            let analysis = analyze(&pm, scheduler, &opts)?;
-            let mut results = Vec::with_capacity(pm.queries.len());
-            for q in &pm.queries {
-                results.push(answer_cached(
-                    &pm,
-                    &analysis,
-                    q,
-                    opts.fm_pruning,
-                    Some(&run_cache),
-                )?);
-            }
+            let analysis = analyze(&pm, scheduler, opts)?;
             Ok(SweepPointResult {
+                results: answer_point(&pm, &analysis, opts)?,
                 z: analysis.total_terminal_mass(),
                 discarded: analysis.total_discarded_mass(),
-                results,
                 stats: analysis.stats,
             })
         })
@@ -559,8 +588,8 @@ mod tests {
         def recv(pkt, pt) state got(0) { if flip(P) { got = got + 1; } drop; }
     "#;
 
-    /// Only the query mentions the swept parameter — the entire exploration
-    /// is shared (symbolic route, or a complete prefix).
+    /// Only the query mentions the swept parameter — the probe completes and
+    /// its entire exploration is shared.
     const QUERY_ONLY: &str = r#"
         packet_fields { tag }
         parameters { K }
@@ -571,6 +600,11 @@ mod tests {
         def send(pkt, pt) { if flip(1/3) { fwd(1); } else { drop; } }
         def recv(pkt, pt) state got(0) { got = got + 1; drop; }
     "#;
+
+    const GOSSIP_SWEEP: &str = include_str!("../../../examples/bay/gossip_k4_sweep.bay");
+
+    /// Path costs guard the routing choice: the swept cost is read mid-run.
+    const ECMP_COSTS: &str = include_str!("../../../examples/bay/ecmp_costs.bay");
 
     fn grid_1d(values: &[i64]) -> Vec<Vec<Rat>> {
         values.iter().map(|v| vec![Rat::int(*v)]).collect()
@@ -626,12 +660,9 @@ mod tests {
     fn query_only_parameter_shares_the_whole_exploration() {
         let points = grid_1d(&[0, 1, 2]);
         let result = run_sweep(QUERY_ONLY, &points, &ExactOptions::default());
-        // Whole exploration shared, by either the symbolic or complete-
-        // prefix mechanism; every point after the first is a reuse.
-        assert!(matches!(
-            result.route,
-            SweepRoute::Symbolic | SweepRoute::Prefix
-        ));
+        // The probe reads no swept parameter, so its one exploration is
+        // shared whole; every point after the first is a reuse.
+        assert_eq!(result.route, SweepRoute::Prefix);
         assert!(result.shared_steps > 0);
         assert_eq!(result.reused_points(), points.len() - 1);
         for (row, point) in points.iter().zip(&result.points) {
@@ -644,6 +675,38 @@ mod tests {
             let sweep_rendered: Vec<String> = got.results.iter().map(|r| r.to_string()).collect();
             assert_eq!(sweep_rendered, rendered);
         }
+    }
+
+    #[test]
+    fn query_only_sweep_keeps_the_symmetry_of_one_bound_run() {
+        let model = compile(&parse(GOSSIP_SWEEP).unwrap()).unwrap();
+        let k = model.params.lookup("K").unwrap();
+        let points = grid_1d(&[1, 2, 3, 4]);
+        let opts = ExactOptions::default();
+        let result = sweep(&model, &[k], &points, &opts).unwrap();
+        assert_eq!(result.route, SweepRoute::Prefix);
+
+        // One bound run of the same optimized model.
+        let mut bound = bayonet_net::opt::optimize(&model);
+        bound.bind_param("K", Rat::int(1)).unwrap();
+        let single = analyze(&bound, &*scheduler_for(&bound), &opts).unwrap();
+        let (shared, one) = (&result.prefix_stats, &single.stats);
+        assert_eq!(shared.expansions, one.expansions);
+        assert_eq!(shared.peak_configs, one.peak_configs);
+        assert_eq!(shared.orbit_merges, one.orbit_merges);
+        assert!(shared.orbit_merges > 0, "the sweep ran without symmetry");
+    }
+
+    #[test]
+    fn swept_guard_parameter_takes_symbolic_route() {
+        let mut model = compile(&parse(ECMP_COSTS).unwrap()).unwrap();
+        model.bind_param("COST_02", Rat::int(2)).unwrap();
+        model.bind_param("COST_21", Rat::ratio(1, 2)).unwrap();
+        let cost = model.params.lookup("COST_01").unwrap();
+        let points = grid_1d(&[1, 2, 3]);
+        let result = sweep(&model, &[cost], &points, &ExactOptions::default()).unwrap();
+        assert_eq!(result.route, SweepRoute::Symbolic);
+        assert_eq!(result.reused_points(), points.len() - 1);
     }
 
     #[test]

@@ -477,7 +477,7 @@ fn cases() -> Vec<Case> {
     // ---- /v1/sweep ----
     let grid = |values: Vec<Json>| obj(vec![("K", Json::Arr(values))]);
     add(
-        "sweep_symbolic",
+        "sweep_query_only",
         "POST",
         "/v1/sweep",
         with_source(

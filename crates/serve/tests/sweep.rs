@@ -219,6 +219,62 @@ fn sixteen_point_sweep_reuses_its_prefix() {
     handle.shutdown();
 }
 
+/// A sweep whose parameter only the queries read costs one bound run: a
+/// 16-point `K` sweep of the gossip example explores once, with the
+/// symmetry reduction a pointwise run gets, and answers every point from it.
+#[test]
+fn query_only_sweep_costs_one_symmetric_run() {
+    let source = include_str!("../../../examples/bay/gossip_k4_sweep.bay");
+
+    // Server 1: one pointwise run, to price a single exploration.
+    let single = start(common::test_config()).expect("start server");
+    let run_req = Json::obj(vec![
+        ("source", Json::Str(source.into())),
+        ("bindings", Json::obj(vec![("K", Json::Num(2.0))])),
+    ])
+    .to_string();
+    let (status, _, payload) = common::http(single.addr(), "POST", "/v1/run", &run_req);
+    assert_eq!(status, 200, "{payload}");
+    let single_expansions = metric(
+        &common::metrics(single.addr()),
+        "bayonet_engine_expansions_total",
+    );
+    single.shutdown();
+
+    // Server 2 (fresh counters): the 16-point sweep.
+    let handle = start(common::test_config()).expect("start server");
+    let addr = handle.addr();
+    let grid = (1..=16)
+        .map(|k| k.to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    let body = format!(
+        "{{\"source\":{},\"sweep\":{{\"K\":[{grid}]}}}}",
+        Json::Str(source.into())
+    );
+    let (status, payload) = sweep(addr, &body);
+    assert_eq!(status, 200, "{payload}");
+    let frames = parse_frames(&payload);
+    assert_eq!(frames.len(), 16);
+    assert!(frames.iter().all(|f| f.status == 200), "{payload}");
+
+    let text = common::metrics(addr);
+    assert_eq!(
+        metric(&text, "bayonet_engine_expansions_total"),
+        single_expansions,
+        "the sweep explored more than one bound run:\n{text}"
+    );
+    assert!(
+        metric(&text, "bayonet_opt_orbit_states_merged_total") > 0,
+        "the sweep explored without symmetry:\n{text}"
+    );
+    assert!(
+        text.contains("bayonet_sweep_requests_total{route=\"prefix\"} 1\n"),
+        "{text}"
+    );
+    handle.shutdown();
+}
+
 /// A repeated sweep is answered entirely from the per-point result cache:
 /// identical frames, no new engine work.
 #[test]
