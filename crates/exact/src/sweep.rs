@@ -108,7 +108,10 @@ pub struct SweepResult {
     /// Statistics of the work done once and shared by every point: the
     /// symbolic run ([`SweepRoute::Symbolic`]) or the probe's shared
     /// exploration, whole or up to its fork ([`SweepRoute::Prefix`]). Zero
-    /// under [`SweepRoute::PerPoint`].
+    /// under [`SweepRoute::PerPoint`]. Under [`SweepRoute::Symbolic`] the
+    /// expansions, merge hits and orbit merges also count the probe that
+    /// forked before the symbolic run, the forking step included, since
+    /// that work ran too; `steps` is the symbolic run's alone.
     pub prefix_stats: EngineStats,
     /// Global steps of the shared prefix (equals `prefix_stats.steps`;
     /// under [`SweepRoute::Symbolic`] the whole exploration was shared).
@@ -222,18 +225,23 @@ pub fn sweep(
     // Probe first, on the bound model, so the exploration keeps its
     // symmetry group. When no swept parameter was read, that one run
     // answers every point and nothing else is tried.
-    let prefix = match probe(&base, &*scheduler, &opts, params, points) {
+    let (prefix, probe_work) = match probe(&base, &*scheduler, &opts, params, points) {
         Probe::Complete(analysis) => {
             return Ok(shared_route(&base, &opts, params, points, analysis))
         }
-        Probe::Fork(prefix) => Some(prefix),
-        Probe::Nothing => None,
+        Probe::Fork(prefix, work) => (Some(prefix), work),
+        Probe::Nothing => (None, EngineStats::default()),
     };
     // The probe read a swept parameter (or shared nothing). One symbolic run
     // can still answer every point, but only when the swept parameters are
     // the *only* unbound ones (cells are evaluated at fully-bound points).
     if base_unbound_is_exactly(&base, params) {
-        if let Some(result) = try_symbolic_route(&base, &*scheduler, &opts, params, points) {
+        if let Some(mut result) = try_symbolic_route(&base, &*scheduler, &opts, params, points) {
+            // The probe's exploration is discarded, but it ran: count it.
+            let stats = &mut result.prefix_stats;
+            stats.expansions += probe_work.expansions;
+            stats.merge_hits += probe_work.merge_hits;
+            stats.orbit_merges += probe_work.orbit_merges;
             return Ok(result);
         }
     }
@@ -380,10 +388,11 @@ fn try_symbolic_route(
 
 /// Outcome of the probe run: a completed exploration that read no swept
 /// parameter, the exploration state just before the first step that read
-/// one (the shared prefix), or nothing shareable.
+/// one (the shared prefix) with the statistics of all the probe's work,
+/// that step included, or nothing shareable.
 enum Probe {
     Complete(Analysis),
-    Fork(EnumState),
+    Fork(EnumState, EngineStats),
     Nothing,
 }
 
@@ -425,12 +434,12 @@ fn probe(
         match state.step(&probe, scheduler, opts, workers, bound) {
             // This step consumed a swept binding: its successors are
             // point-specific. The pre-step snapshot is the shared prefix.
-            Ok(()) if watch.hit() => return Probe::Fork(snapshot),
+            Ok(()) if watch.hit() => return Probe::Fork(snapshot, state.stats),
             Ok(()) => {}
             // The erroring step may or may not depend on the grid; keep
             // whatever prefix is provably shared and let each point
             // re-derive its own (identical or not) error.
-            Err(_) if watch.hit() => return Probe::Fork(snapshot),
+            Err(_) if watch.hit() => return Probe::Fork(snapshot, state.stats),
             Err(_) => return Probe::Nothing,
         }
     }
@@ -704,9 +713,23 @@ mod tests {
         model.bind_param("COST_21", Rat::ratio(1, 2)).unwrap();
         let cost = model.params.lookup("COST_01").unwrap();
         let points = grid_1d(&[1, 2, 3]);
-        let result = sweep(&model, &[cost], &points, &ExactOptions::default()).unwrap();
+        let opts = ExactOptions::default();
+        let result = sweep(&model, &[cost], &points, &opts).unwrap();
         assert_eq!(result.route, SweepRoute::Symbolic);
         assert_eq!(result.reused_points(), points.len() - 1);
+
+        // The probe forked before the symbolic run; its work is counted on
+        // top of one symbolic exploration of the base.
+        let mut base = model.clone();
+        base.unbind_param("COST_01").unwrap();
+        let symbolic = analyze(&base, &*scheduler_for(&base), &opts).unwrap();
+        assert!(
+            result.prefix_stats.expansions > symbolic.stats.expansions,
+            "probe work lost: {} expansions, one symbolic run alone has {}",
+            result.prefix_stats.expansions,
+            symbolic.stats.expansions
+        );
+        assert_eq!(result.prefix_stats.steps, symbolic.stats.steps);
     }
 
     #[test]

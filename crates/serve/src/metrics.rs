@@ -40,6 +40,8 @@ pub(crate) enum Counter {
     // `/v1/batch` and `/v1/sweep` totals.
     Batches, BatchItems, BatchItemErrors, BatchCompiles, BatchSourceReuse,
     SweepPoints, SweepPointErrors, SweepPrefixReuse, SweepPrefixSteps,
+    // Explorations kept with optimized models.
+    MemoHits, MemoMisses, MemoBytes,
     // Exact-engine work, summed over every run.
     EngineSteps, EngineExpansions, EngineMergeHits, EnginePeakConfigs,
     OptPassRuns, OptFlipsEliminated, OptGuardsFolded, OptOrbitStatesMerged,
@@ -109,7 +111,7 @@ use Source::{CostRatio, Labelled, Latency, Persist, Pool, Requests, Scalar};
 
 /// Every family `/metrics` exposes, in exposition order.
 #[rustfmt::skip]
-const FAMILIES: [Family; 47] = [
+const FAMILIES: [Family; 50] = [
     counter("bayonet_requests_total", Requests, "Completed HTTP requests."),
     histogram("bayonet_request_seconds", Latency, "Request latency."),
     gauge("bayonet_queue_depth", Scalar(C::QueueDepth), "Jobs waiting in the worker queue."),
@@ -158,6 +160,12 @@ const FAMILIES: [Family; 47] = [
         "Sweep points answered by reusing shared exploration instead of a full independent run."),
     counter("bayonet_sweep_prefix_steps_total", Scalar(C::SweepPrefixSteps),
         "Global steps of shared (run-once) sweep exploration."),
+    counter("bayonet_exploration_memo_hits_total", Scalar(C::MemoHits),
+        "Exact runs answered from a kept parameter-blind exploration, without exploring."),
+    counter("bayonet_exploration_memo_misses_total", Scalar(C::MemoMisses),
+        "Explorations run for a kept program with every parameter bound."),
+    gauge("bayonet_exploration_memo_bytes", Scalar(C::MemoBytes),
+        "Estimated size of the kept explorations."),
     counter("bayonet_engine_steps_total", Scalar(C::EngineSteps), "Exact-engine global steps."),
     counter("bayonet_engine_expansions_total", Scalar(C::EngineExpansions),
         "Exact-engine expansions."),

@@ -26,6 +26,12 @@
 //! sink: [`Service::handle`] buffers them sorted by index, and the HTTP
 //! workers stream them as chunked NDJSON as they complete.
 //!
+//! Below the result cache, the service keeps each recently run program's
+//! optimized model and, once a fully bound enumeration showed that no
+//! handler or initializer reads a parameter, that exploration: a later
+//! binding of the program then runs query answering alone (see
+//! [`Service::exact_run`]). Its answer is byte-identical to a fresh run's.
+//!
 //! Successful inference responses are cached in an LRU keyed by a hash of
 //! the canonically pretty-printed program, the engine, the query selection,
 //! the engine options, and the sorted parameter bindings — so textually
@@ -40,6 +46,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
+use std::mem::size_of_val;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -51,7 +58,7 @@ use bayonet_exact::{
 };
 use bayonet_lang::{check, parse, pretty_program, Program};
 use bayonet_net::opt::optimize;
-use bayonet_net::{compile, scheduler_for, CompiledQuery, Deadline, Model};
+use bayonet_net::{compile, scheduler_for, CompiledQuery, Deadline, Model, ParamWatch};
 use bayonet_num::Rat;
 
 use crate::cache::LruCache;
@@ -89,6 +96,11 @@ const OPTIMIZED_MODELS: usize = 16;
 /// requests, so the kept models stay small however big the bodies are.
 const OPTIMIZED_SOURCE_BYTES: usize = 16 * 1024;
 
+/// Largest exploration kept with a program's optimized model, by
+/// [`exploration_bytes`]; the kept explorations never exceed
+/// [`OPTIMIZED_MODELS`] times this.
+const EXPLORATION_BYTES: usize = 1024 * 1024;
+
 const NDJSON: &str = "application/x-ndjson";
 
 /// Receives each batch item's or sweep point's answer with its index,
@@ -114,8 +126,9 @@ pub struct ServiceOptions {
 pub struct Service {
     metrics: Arc<Metrics>,
     cache: Arc<Mutex<LruCache<u64, Response>>>,
-    /// Optimized models of recently run programs, by canonical program.
-    optimized: Mutex<LruCache<String, Arc<Model>>>,
+    /// Optimized models of recently run programs, with their kept
+    /// explorations, by canonical program.
+    optimized: Mutex<LruCache<String, Arc<Kept>>>,
     /// Shared compute pool for parallel exact expansion; `None` keeps every
     /// request single-threaded regardless of its `threads` hint.
     pool: Option<ComputePool>,
@@ -379,7 +392,7 @@ impl Service {
             "/v1/check" => check_response(&source.check),
             "/v1/synthesize" => {
                 let model = bind(self.exact_model(source, item.passes)?, &item.bindings)?;
-                self.synthesize(&item, &model, deadline)?
+                self.synthesize(&item, source, &model, deadline)?
             }
             _ => {
                 // Exact engines run the optimized model; sampling engines
@@ -400,7 +413,7 @@ impl Service {
                         )
                     }
                 };
-                self.run(&item, &model, deadline, plan.as_ref())?
+                self.run(&item, source, &model, deadline, plan.as_ref())?
             }
         };
         self.store(key, &response);
@@ -418,21 +431,15 @@ impl Service {
         if !passes {
             return Ok(model);
         }
-        Ok(source.optimized.get_or_init(|| {
+        let kept = source.optimized.get_or_init(|| {
             let keep = source.canonical.len() <= OPTIMIZED_SOURCE_BYTES;
-            let kept = &self.optimized;
-            let hit = if keep {
-                kept.lock()
-                    .expect("kept mutex")
-                    .get(&source.canonical)
-                    .cloned()
-            } else {
-                None
-            };
-            if let Some(optimized) = hit {
-                return optimized;
+            let memo = &self.optimized;
+            if keep {
+                if let Some(kept) = memo.lock().expect("kept mutex").get(&source.canonical) {
+                    return Arc::clone(kept);
+                }
             }
-            let optimized = Arc::new(optimize(model));
+            let optimized = optimize(model);
             let r = &optimized
                 .opt_info()
                 .expect("optimize attaches its report")
@@ -442,13 +449,45 @@ impl Service {
                 .add(Counter::OptFlipsEliminated, r.flips_eliminated as i64);
             self.metrics
                 .add(Counter::OptGuardsFolded, r.guards_folded as i64);
+            let kept = Arc::new(Kept {
+                model: optimized,
+                exploration: OnceLock::new(),
+            });
             if keep {
-                kept.lock()
-                    .expect("kept mutex")
-                    .insert(source.canonical.clone(), Arc::clone(&optimized));
+                let mut memo = memo.lock().expect("kept mutex");
+                // A concurrent request may have kept this program first;
+                // share its entry rather than replace it uncounted.
+                if let Some(first) = memo.get(&source.canonical) {
+                    return Arc::clone(first);
+                }
+                if let Some((_, evicted)) = memo.insert(source.canonical.clone(), Arc::clone(&kept))
+                {
+                    if let Some((_, bytes)) = evicted.exploration.get() {
+                        self.metrics.add(Counter::MemoBytes, -(*bytes as i64));
+                    }
+                }
             }
-            optimized
-        }))
+            kept
+        });
+        Ok(&kept.model)
+    }
+
+    /// Keeps `analysis` as `kept`'s exploration when it fits
+    /// [`EXPLORATION_BYTES`] and `kept` is still `source`'s entry in the
+    /// memo: only a kept entry takes one, so evicting it always returns the
+    /// bytes it added to `bayonet_exploration_memo_bytes`.
+    fn keep_exploration(&self, source: &Source, kept: &Arc<Kept>, analysis: &Arc<Analysis>) {
+        let bytes = exploration_bytes(analysis);
+        if bytes > EXPLORATION_BYTES {
+            return;
+        }
+        let mut memo = self.optimized.lock().expect("kept mutex");
+        let current = memo
+            .get(&source.canonical)
+            .is_some_and(|entry| Arc::ptr_eq(entry, kept));
+        if current && kept.exploration.set((Arc::clone(analysis), bytes)).is_ok() {
+            self.metrics.add(Counter::MemoBytes, bytes as i64);
+        }
     }
 
     /// Stage 4: the cached answers for `keys`, only if every one is cached.
@@ -550,16 +589,20 @@ impl Service {
     fn run(
         &self,
         req: &InferenceRequest,
+        source: &Source,
         model: &Model,
         deadline: Deadline,
         plan: Option<&Plan>,
     ) -> Result<Response, ApiError> {
         let started = Instant::now();
+        // A kept exploration answers without the run the planner priced.
+        let mut explored = true;
         let response = match req.engine {
             Engine::Exact | Engine::Bdd => {
                 let engine = req.engine.exact_kind();
-                let (analysis, results) =
-                    self.exact_run(req, model, engine, deadline, &model.queries)?;
+                let (analysis, results, ran) =
+                    self.exact_run(req, source, model, engine, deadline, &model.queries)?;
+                explored = ran;
                 let z = analysis.total_terminal_mass();
                 let discarded = analysis.total_discarded_mass();
 
@@ -642,7 +685,7 @@ impl Service {
             // Resolved to a concrete engine in `item` before any run.
             Engine::Auto => unreachable!("auto engine is resolved before dispatch"),
         };
-        if let Some(plan) = plan {
+        if let Some(plan) = plan.filter(|_| explored) {
             let actual_ns = started.elapsed().as_nanos() as f64;
             self.metrics
                 .record_planner_ratio(actual_ns / plan.est_cost_ns.max(1) as f64);
@@ -652,27 +695,74 @@ impl Service {
 
     /// One exact run: analyzes `model` on `engine` with the request's
     /// options and answers `queries` against it, folding the engine and
-    /// feasibility-cache work into the metrics.
+    /// feasibility-cache work into the metrics. Also returns whether the
+    /// exploration ran: `false` when a kept one answered.
+    ///
+    /// An enumeration of a kept program's optimized model with every
+    /// parameter bound runs under a [`ParamWatch`] on all parameters. When
+    /// the watch stays clear, no handler or initializer read a binding, so
+    /// the exploration — symmetry reduction and statistics included — is
+    /// the same for every binding and is kept with the model. A later run
+    /// of the program under any full binding answers its queries against
+    /// it, and its response is byte-identical to a fresh run's. Errors,
+    /// including deadline interrupts, are never kept.
     fn exact_run(
         &self,
         req: &InferenceRequest,
+        source: &Source,
         model: &Model,
         engine: EngineKind,
         deadline: Deadline,
         queries: &[CompiledQuery],
-    ) -> Result<(Analysis, Vec<QueryResult>), ApiError> {
+    ) -> Result<(Arc<Analysis>, Vec<QueryResult>, bool), ApiError> {
         let (mut opts, feasibility) = self.exact_options(req.threads, req.passes, deadline);
         opts.engine = engine;
-        let analysis =
-            analyze(model, &*scheduler_for(model), &opts).map_err(|e| exact_error(&e))?;
-        self.metrics.record_engine(&analysis.stats);
+        let memo = match source.optimized.get() {
+            Some(kept)
+                if req.passes
+                    && engine == EngineKind::Enum
+                    && !model.has_symbolic_params()
+                    && source.canonical.len() <= OPTIMIZED_SOURCE_BYTES =>
+            {
+                Some(kept)
+            }
+            _ => None,
+        };
+        let explore = |model: &Model| {
+            let analysis =
+                analyze(model, &*scheduler_for(model), &opts).map_err(|e| exact_error(&e))?;
+            self.metrics.record_engine(&analysis.stats);
+            Ok::<_, ApiError>(Arc::new(analysis))
+        };
+        let reused = memo.and_then(|kept| kept.exploration.get());
+        let analysis = match (memo, reused) {
+            (_, Some((analysis, _))) => {
+                self.metrics.add(Counter::MemoHits, 1);
+                Arc::clone(analysis)
+            }
+            (Some(kept), None) => {
+                self.metrics.add(Counter::MemoMisses, 1);
+                let all: Vec<_> = model.params.iter().collect();
+                let watch = Arc::new(ParamWatch::new(all.len(), &all));
+                let mut watched = model.clone();
+                watched.set_param_watch(Arc::clone(&watch));
+                // Read before the queries are answered on `model`: they may
+                // read parameters, and each binding answers them itself.
+                let analysis = explore(&watched)?;
+                if !watch.hit() {
+                    self.keep_exploration(source, kept, &analysis);
+                }
+                analysis
+            }
+            (None, None) => explore(model)?,
+        };
         let results = queries
             .iter()
             .map(|q| answer_cached(model, &analysis, q, opts.fm_pruning, Some(&feasibility)))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| exact_error(&e))?;
         self.record_feasibility(&feasibility);
-        Ok((analysis, results))
+        Ok((analysis, results, reused.is_none()))
     }
 
     /// Folds one request's feasibility-cache totals into the metrics, from
@@ -686,13 +776,15 @@ impl Service {
     fn synthesize(
         &self,
         req: &InferenceRequest,
+        source: &Source,
         model: &Model,
         deadline: Deadline,
     ) -> Result<Response, ApiError> {
         let query_idx = req.query.unwrap_or(0);
         check_query_index(query_idx, model.queries.len())?;
         let query = std::slice::from_ref(&model.queries[query_idx]);
-        let (_, mut results) = self.exact_run(req, model, EngineKind::Enum, deadline, query)?;
+        let (_, mut results, _) =
+            self.exact_run(req, source, model, EngineKind::Enum, deadline, query)?;
         let result = results.pop().expect("one query, one result");
         let objective = match req.maximize {
             true => Objective::Maximize,
@@ -921,7 +1013,40 @@ struct Source {
     /// See [`Source::model`].
     model: OnceLock<Result<Model, ApiError>>,
     /// See [`Service::exact_model`].
-    optimized: OnceLock<Arc<Model>>,
+    optimized: OnceLock<Arc<Kept>>,
+}
+
+/// One program's work kept across requests: its optimized model and, once
+/// a fully bound enumeration read no parameter, that exploration with its
+/// [`exploration_bytes`] (see [`Service::exact_run`]).
+struct Kept {
+    model: Model,
+    exploration: OnceLock<(Arc<Analysis>, usize)>,
+}
+
+/// A rough size of `analysis` in bytes: every terminal configuration with
+/// its nodes' state and queued packets, and every discarded-mass entry.
+/// Heap words inside rationals and guards are not counted.
+fn exploration_bytes(analysis: &Analysis) -> usize {
+    let terminals: usize = analysis
+        .terminals
+        .iter()
+        .map(|terminal| {
+            let nodes: usize = terminal
+                .0
+                .nodes
+                .iter()
+                .map(|node| {
+                    let queued = node.q_in.iter().chain(node.q_out.iter());
+                    size_of_val(node)
+                        + size_of_val(node.state.as_slice())
+                        + queued.map(size_of_val).sum::<usize>()
+                })
+                .sum();
+            size_of_val(terminal) + nodes
+        })
+        .sum();
+    terminals + size_of_val(analysis.discarded.as_slice())
 }
 
 impl Source {
