@@ -128,6 +128,12 @@ impl fmt::Display for Estimate {
     }
 }
 
+/// Renders one estimate as `bayonet run --engine smc` (or `rejection`)
+/// prints it: the query's source, the estimate and the `Ẑ` estimate.
+pub fn render_estimate(query: &str, est: &Estimate) -> String {
+    format!("{query}: {est}  (Ẑ ≈ {:.4})\n", est.z_estimate)
+}
+
 fn query_value_on(
     model: &Model,
     query: &CompiledQuery,

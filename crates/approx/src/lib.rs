@@ -37,5 +37,7 @@ mod engine;
 mod trace;
 
 pub use driver::{sample_initial, sample_step, SampleDriver, StepOutcome};
-pub use engine::{rejection, sample_trace, smc, ApproxError, ApproxOptions, Estimate};
+pub use engine::{
+    rejection, render_estimate, sample_trace, smc, ApproxError, ApproxOptions, Estimate,
+};
 pub use trace::{simulate, SimEvent, Simulation};

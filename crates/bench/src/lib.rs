@@ -2,8 +2,9 @@
 //!
 //! The binaries in `src/bin/` regenerate every table and figure of the
 //! paper's evaluation (§5): `table1`, `fig3`, `sec55`, `codesize`, and
-//! `ablations`. The Criterion benches in `benches/` measure the same
-//! workloads for performance tracking.
+//! `ablations`. `regress` times the same workloads phase by phase and
+//! gates them against a committed baseline; `servebench` gates the serve
+//! path's latency the same way.
 
 pub mod workloads;
 
@@ -29,26 +30,6 @@ pub struct Measured {
 pub fn time_exact(network: &Network, idx: usize) -> Result<Measured, Error> {
     let t0 = Instant::now();
     let report = network.exact()?;
-    let elapsed = t0.elapsed();
-    Ok(Measured {
-        value: report.results[idx].rat().clone(),
-        elapsed,
-    })
-}
-
-/// Runs exact inference under explicit [`bayonet::ExactOptions`] (e.g. a
-/// thread count) and returns the value of query `idx` with timing.
-///
-/// # Errors
-///
-/// Propagates inference errors.
-pub fn time_exact_with(
-    network: &Network,
-    idx: usize,
-    opts: &bayonet::ExactOptions,
-) -> Result<Measured, Error> {
-    let t0 = Instant::now();
-    let report = network.exact_with(opts)?;
     let elapsed = t0.elapsed();
     Ok(Measured {
         value: report.results[idx].rat().clone(),

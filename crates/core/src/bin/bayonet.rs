@@ -27,6 +27,8 @@ use bayonet::{
     Network, Objective, PlanEngine, PlannerConfig, Rat, RotorScheduler, SynthesisOptions,
     UniformScheduler,
 };
+use bayonet_approx::render_estimate;
+use bayonet_exact::{render_run, render_synthesis};
 use bayonet_serve::{parse_json, Json, Request, Service, ServiceOptions, DEFAULT_CACHE_ENTRIES};
 
 fn main() -> ExitCode {
@@ -342,19 +344,14 @@ fn run_queries(source: &str, rest: &[String], threads: usize) -> Result<(), Stri
                 ..ExactOptions::default()
             };
             let report = network.exact_with(&opts).map_err(|e| e.to_string())?;
-            for result in &report.results {
-                print!("{result}");
-            }
-            println!(
-                "Z = {} (discarded by observations: {})",
-                report.z, report.discarded
-            );
-            println!(
-                "[{} steps, {} expansions, peak {} configs, {} merge hits]",
-                report.stats.steps,
-                report.stats.expansions,
-                report.stats.peak_configs,
-                report.stats.merge_hits
+            print!(
+                "{}",
+                render_run(
+                    &report.results,
+                    &report.z,
+                    &report.discarded,
+                    Some(&report.stats)
+                )
             );
             if want_stats {
                 eprintln!(
@@ -396,11 +393,7 @@ fn run_queries(source: &str, rest: &[String], threads: usize) -> Result<(), Stri
                     network.rejection(idx, &approx)
                 }
                 .map_err(|e| e.to_string())?;
-                println!(
-                    "{}: {est}  (Ẑ ≈ {:.4})",
-                    network.queries()[idx].source,
-                    est.z_estimate
-                );
+                print!("{}", render_estimate(&network.queries()[idx].source, &est));
             }
         }
         "simulate" => {
@@ -565,27 +558,7 @@ fn synthesize_cmd(source: &str, rest: &[String]) -> Result<(), String> {
         positive_params: !has_flag(rest, "--allow-zero-params"),
     };
     let synthesis = synthesize_with(&network, query, opts).map_err(|e| e.to_string())?;
-    println!("piecewise result:");
-    for (i, cell) in synthesis.result.cells.iter().enumerate() {
-        let marker = if i == synthesis.best_cell { "*" } else { " " };
-        let value = cell
-            .value
-            .as_ref()
-            .map(|v| format!("{v}"))
-            .unwrap_or_else(|| "undefined".into());
-        println!("{marker} [{}] {value}", cell.constraint);
-    }
-    println!(
-        "optimal value: {} ≈ {:.4}",
-        synthesis.value,
-        synthesis.value.to_f64()
-    );
-    println!("constraint:    {}", synthesis.constraint);
-    print!("witness:      ");
-    for (pid, v) in &synthesis.assignment {
-        print!(" {} = {v}", network.model().params.name(*pid));
-    }
-    println!();
+    print!("{}", render_synthesis(&synthesis, &network.model().params));
     Ok(())
 }
 

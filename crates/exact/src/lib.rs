@@ -41,6 +41,7 @@ mod enumerate;
 pub mod planner;
 mod pool;
 mod query;
+mod render;
 mod sweep;
 mod synthesize;
 
@@ -52,5 +53,6 @@ pub use pool::{fan_out, ComputePool, PoolLease, PoolStats};
 pub use query::{
     answer, answer_cached, value_distribution, CellAnswer, QueryResult, MAX_CELL_ATOMS,
 };
+pub use render::{render_run, render_synthesis};
 pub use sweep::{sweep, SweepPointResult, SweepResult, SweepRoute};
 pub use synthesize::{synthesize_result, Objective, Synthesis, SynthesisError, SynthesisOptions};

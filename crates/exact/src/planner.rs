@@ -302,7 +302,7 @@ fn fmt_ns(ns: u64) -> String {
 /// plan-then-analyze double traversal. Unoptimized models fall back to
 /// [`model_facts`], the *same* implementation the pipeline uses, so the
 /// two paths cannot diverge. The symmetry signal goes through the same
-/// gate the engines use ([`crate::engine::symmetry_for`]), so the planner
+/// gate the engines use (`symmetry_for`), so the planner
 /// discounts exactly the canonicalization that will happen.
 pub fn extract_signals(model: &Model) -> PlanSignals {
     let nodes = model.num_nodes();

@@ -8,16 +8,20 @@
 //! parallel. The symbolic-synthesis pipeline is covered too, and so are
 //! runtime errors: a failing run reports the same error at every count.
 //!
+//! Gossip K5 and a 10-diamond reliability chain, whose frontiers are far
+//! larger than any example's, run at the default threshold at 1, 2, 4 and
+//! 8 workers.
+//!
 //! A `BAYONET_TEST_THREADS` value outside the fixed {1, 2, 8} adds one
 //! extra worker count to the matrix.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
+use bayonet::scenarios::{gossip_source, reliability_chain_source, Sched};
 use bayonet_exact::{
-    analyze, answer, synthesize_result, Analysis, ComputePool, ExactOptions, Objective,
-    SynthesisOptions,
+    analyze, answer, render_run, synthesize_result, Analysis, ComputePool, EngineKind,
+    ExactOptions, Objective, SynthesisOptions,
 };
 use bayonet_lang::parse;
 use bayonet_net::{compile, scheduler_for, Model, Scheduler};
@@ -99,24 +103,16 @@ fn options(threads: usize) -> ExactOptions {
 fn run_and_render(source: &str, binding: Option<Rat>, opts: &ExactOptions) -> (Analysis, String) {
     let (model, scheduler) = build(source, binding);
     let analysis = analyze(&model, &*scheduler, opts).expect("example analyzes");
-    let mut text = String::new();
-    for q in &model.queries {
-        let result = answer(&model, &analysis, q, opts.fm_pruning).expect("query answers");
-        let _ = write!(text, "{result}");
-    }
-    let _ = writeln!(
-        text,
-        "Z = {} (discarded by observations: {})",
-        analysis.total_terminal_mass(),
-        analysis.total_discarded_mass()
-    );
-    let _ = writeln!(
-        text,
-        "[{} steps, {} expansions, peak {} configs, {} merge hits]",
-        analysis.stats.steps,
-        analysis.stats.expansions,
-        analysis.stats.peak_configs,
-        analysis.stats.merge_hits
+    let results: Vec<_> = model
+        .queries
+        .iter()
+        .map(|q| answer(&model, &analysis, q, opts.fm_pruning).expect("query answers"))
+        .collect();
+    let text = render_run(
+        &results,
+        &analysis.total_terminal_mass(),
+        &analysis.total_discarded_mass(),
+        Some(&analysis.stats),
     );
     (analysis, text)
 }
@@ -142,31 +138,73 @@ fn deterministic_stats(a: &Analysis) -> (u64, u64, usize, u64, usize) {
     )
 }
 
+/// Runs `source` at every count in `threads` and asserts terminals,
+/// discarded mass, statistics and rendered text all match the run under
+/// `options(1)`.
+fn assert_bit_identical(
+    name: &str,
+    source: &str,
+    binding: Option<Rat>,
+    threads: &[usize],
+    options: impl Fn(usize) -> ExactOptions,
+) {
+    let (baseline, baseline_text) = run_and_render(source, binding.clone(), &options(1));
+    for &threads in threads {
+        let (run, text) = run_and_render(source, binding.clone(), &options(threads));
+        assert_eq!(
+            baseline.terminals, run.terminals,
+            "{name}: terminals diverge at {threads} threads"
+        );
+        assert_eq!(
+            baseline.discarded, run.discarded,
+            "{name}: discarded mass diverges at {threads} threads"
+        );
+        assert_eq!(
+            deterministic_stats(&baseline),
+            deterministic_stats(&run),
+            "{name}: stats diverge at {threads} threads"
+        );
+        assert_eq!(
+            baseline_text, text,
+            "{name}: rendered text diverges at {threads} threads"
+        );
+    }
+}
+
 #[test]
 fn every_example_is_bit_identical_across_thread_counts() {
     for (name, source) in example_sources() {
         let binding = needs_binding(&source).then(|| Rat::ratio(1, 4));
-        let (baseline, baseline_text) = run_and_render(&source, binding.clone(), &options(1));
-        for threads in thread_matrix() {
-            let (run, text) = run_and_render(&source, binding.clone(), &options(threads));
-            assert_eq!(
-                baseline.terminals, run.terminals,
-                "{name}: terminals diverge at {threads} threads"
-            );
-            assert_eq!(
-                baseline.discarded, run.discarded,
-                "{name}: discarded mass diverges at {threads} threads"
-            );
-            assert_eq!(
-                deterministic_stats(&baseline),
-                deterministic_stats(&run),
-                "{name}: stats diverge at {threads} threads"
-            );
-            assert_eq!(
-                baseline_text, text,
-                "{name}: rendered text diverges at {threads} threads"
-            );
-        }
+        assert_bit_identical(&name, &source, binding, &thread_matrix(), options);
+    }
+}
+
+/// Frontiers far larger than any curated example's, so that at the default
+/// threshold every lane takes many chunks per step.
+#[test]
+fn large_frontiers_are_bit_identical_across_thread_counts() {
+    // The check is about enumeration's parallel merge; pin the engine and
+    // the passes so the `bdd` and `passes: off` legs do not turn it into a
+    // single-threaded run or an unreduced K5 that takes minutes in debug.
+    let options = |threads: usize| ExactOptions {
+        threads,
+        engine: EngineKind::Enum,
+        passes: true,
+        ..ExactOptions::default()
+    };
+    let mut threads = thread_matrix();
+    if !threads.contains(&4) {
+        threads.push(4);
+    }
+    let workloads = [
+        ("gossip K5", gossip_source(5, Sched::Uniform)),
+        (
+            "reliability chain (10 diamonds)",
+            reliability_chain_source(10, &Rat::ratio(1, 1000), Sched::Uniform),
+        ),
+    ];
+    for (name, source) in workloads {
+        assert_bit_identical(name, &source, None, &threads, options);
     }
 }
 
@@ -205,7 +243,7 @@ fn pool_contention_degrades_gracefully_without_changing_results() {
     // Pool leases and parallel expansion are enumeration-engine machinery; pin
     // the engine so the `BAYONET_TEST_ENGINE=bdd` leg still exercises it.
     let options = |threads: usize| ExactOptions {
-        engine: bayonet_exact::EngineKind::Enum,
+        engine: EngineKind::Enum,
         ..options(threads)
     };
     let source = fs::read_to_string(example_dir().join("gossip_k4.bay")).expect("gossip example");
@@ -278,7 +316,7 @@ fn runtime_errors_are_identical_across_thread_counts() {
     // Pin enumeration: the configuration cap below and the parallel
     // expansion under test are both enumeration-engine machinery.
     let options = |threads: usize| ExactOptions {
-        engine: bayonet_exact::EngineKind::Enum,
+        engine: EngineKind::Enum,
         ..options(threads)
     };
     for failure in ["fwd(pt + 3);", "infected = 1 / (infected - 1); drop;"] {

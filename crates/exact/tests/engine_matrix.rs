@@ -9,11 +9,10 @@
 //! different granularities (configurations vs. diagrams), which is
 //! documented engine-specific behavior.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use bayonet_exact::{analyze, answer, Analysis, EngineKind, ExactError, ExactOptions};
+use bayonet_exact::{analyze, answer, render_run, Analysis, EngineKind, ExactError, ExactOptions};
 use bayonet_lang::parse;
 use bayonet_lang::testgen::ProgramGen;
 use bayonet_net::{compile, scheduler_for, Model, Scheduler};
@@ -83,16 +82,16 @@ fn run(
 ) -> Result<(Analysis, String), ExactError> {
     let (model, scheduler) = build(source, binding);
     let analysis = analyze(&model, &*scheduler, opts)?;
-    let mut text = String::new();
-    for q in &model.queries {
-        let result = answer(&model, &analysis, q, opts.fm_pruning).expect("query answers");
-        let _ = write!(text, "{result}");
-    }
-    let _ = writeln!(
-        text,
-        "Z = {} (discarded by observations: {})",
-        analysis.total_terminal_mass(),
-        analysis.total_discarded_mass()
+    let results: Vec<_> = model
+        .queries
+        .iter()
+        .map(|q| answer(&model, &analysis, q, opts.fm_pruning).expect("query answers"))
+        .collect();
+    let text = render_run(
+        &results,
+        &analysis.total_terminal_mass(),
+        &analysis.total_discarded_mass(),
+        None,
     );
     Ok((analysis, text))
 }

@@ -7,11 +7,10 @@
 //! expected to shrink under the passes and are deliberately not compared;
 //! the posterior is the contract.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use bayonet_exact::{analyze, answer, EngineKind, ExactError, ExactOptions};
+use bayonet_exact::{analyze, answer, render_run, EngineKind, ExactError, ExactOptions};
 use bayonet_lang::parse;
 use bayonet_lang::testgen::ProgramGen;
 use bayonet_net::{compile, scheduler_for, Model, Scheduler};
@@ -80,16 +79,16 @@ fn run(
         ..ExactOptions::default()
     };
     let analysis = analyze(&model, &*scheduler, &opts)?;
-    let mut text = String::new();
-    for q in &model.queries {
-        let result = answer(&model, &analysis, q, opts.fm_pruning).expect("query answers");
-        let _ = write!(text, "{result}");
-    }
-    let _ = writeln!(
-        text,
-        "Z = {} (discarded by observations: {})",
-        analysis.total_terminal_mass(),
-        analysis.total_discarded_mass()
+    let results: Vec<_> = model
+        .queries
+        .iter()
+        .map(|q| answer(&model, &analysis, q, opts.fm_pruning).expect("query answers"))
+        .collect();
+    let text = render_run(
+        &results,
+        &analysis.total_terminal_mass(),
+        &analysis.total_discarded_mass(),
+        None,
     );
     Ok(text)
 }

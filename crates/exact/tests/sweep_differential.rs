@@ -10,11 +10,10 @@
 //! its per-point expansion counts are *lower* than pointwise runs — that
 //! saving is asserted separately (`shared_work_is_not_recounted`).
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use bayonet_exact::{analyze, answer, sweep, EngineKind, ExactOptions, SweepRoute};
+use bayonet_exact::{analyze, answer, render_run, sweep, EngineKind, ExactOptions, SweepRoute};
 use bayonet_lang::{parse, testgen::ProgramGen};
 use bayonet_net::{compile, scheduler_for, Model};
 use bayonet_num::Rat;
@@ -80,18 +79,8 @@ fn cartesian_grid(model: &Model, values: &[Rat]) -> (Vec<ParamId>, Vec<Vec<Rat>>
 /// print it, minus the stats bracket (statistics are not pinned): per-query
 /// results then the Z line. Errors render as `error: {message}` so error
 /// identity is differential too.
-fn render_outcome(results: Result<(Vec<String>, Rat, Rat), String>) -> String {
-    match results {
-        Ok((queries, z, discarded)) => {
-            let mut text = String::new();
-            for q in queries {
-                let _ = write!(text, "{q}");
-            }
-            let _ = writeln!(text, "Z = {z} (discarded by observations: {discarded})");
-            text
-        }
-        Err(e) => format!("error: {e}\n"),
-    }
+fn render_outcome(text: Result<String, String>) -> String {
+    text.unwrap_or_else(|e| format!("error: {e}\n"))
 }
 
 /// Independent pointwise run: bind the point, analyze from scratch, answer.
@@ -100,7 +89,7 @@ fn pointwise(
     params: &[ParamId],
     point: &[Rat],
     opts: &ExactOptions,
-) -> Result<(Vec<String>, Rat, Rat), String> {
+) -> Result<String, String> {
     let mut model = base.clone();
     for (id, value) in params.iter().zip(point) {
         let name = model.params.name(*id).to_string();
@@ -108,18 +97,17 @@ fn pointwise(
     }
     let scheduler = scheduler_for(&model);
     let analysis = analyze(&model, &*scheduler, opts).map_err(|e| e.to_string())?;
-    let mut rendered = Vec::with_capacity(model.queries.len());
-    for q in &model.queries {
-        rendered.push(
-            answer(&model, &analysis, q, opts.fm_pruning)
-                .map_err(|e| e.to_string())?
-                .to_string(),
-        );
-    }
-    Ok((
-        rendered,
-        analysis.total_terminal_mass(),
-        analysis.total_discarded_mass(),
+    let results = model
+        .queries
+        .iter()
+        .map(|q| answer(&model, &analysis, q, opts.fm_pruning))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    Ok(render_run(
+        &results,
+        &analysis.total_terminal_mass(),
+        &analysis.total_discarded_mass(),
+        None,
     ))
 }
 
@@ -134,11 +122,7 @@ fn assert_sweep_matches_pointwise(label: &str, source: &str, values: &[Rat]) {
         assert_eq!(result.points.len(), points.len(), "{label}");
         for (i, (point, got)) in points.iter().zip(&result.points).enumerate() {
             let got_rendered = render_outcome(match got {
-                Ok(p) => Ok((
-                    p.results.iter().map(|r| r.to_string()).collect(),
-                    p.z.clone(),
-                    p.discarded.clone(),
-                )),
+                Ok(p) => Ok(render_run(&p.results, &p.z, &p.discarded, None)),
                 Err(e) => Err(e.to_string()),
             });
             let want_rendered = render_outcome(pointwise(&model, &params, point, &opts));

@@ -3,15 +3,15 @@
 //! [`optimize`] runs a fixed sequence of semantics-preserving passes over a
 //! compiled [`Model`] and attaches an [`OptInfo`] describing what happened:
 //!
-//! * **constant folding / guard hoisting** ([`fold`]) — folds constant
+//! * **constant folding / guard hoisting** (`fold`) — folds constant
 //!   subexpressions and constant-valued guards (`if`, `while`, `assert`,
 //!   `observe`) so the enumerator never branches on them, and hoists
 //!   loop-invariant local bindings out of `while` bodies;
-//! * **dead-flip elimination** ([`dead_flip`]) — removes `flip` /
+//! * **dead-flip elimination** (`dead_flip`) — removes `flip` /
 //!   `uniformInt` sites (and other total assignments) whose results are
 //!   never read by the handler or any query, an exponential frontier cut
 //!   per removed site;
-//! * **topology symmetry reduction** ([`symmetry`]) — finds the
+//! * **topology symmetry reduction** (`symmetry`) — finds the
 //!   automorphism group of the compiled topology (program equality +
 //!   port-consistent adjacency permutations) so the exact engines can
 //!   canonicalize frontier configurations by orbit representative.

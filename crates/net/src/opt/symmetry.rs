@@ -72,7 +72,7 @@ impl GroupElem {
 }
 
 /// The automorphism group of a model's topology (always excludes models
-/// where it would be trivial — [`find_symmetry`] returns `None` there).
+/// where it would be trivial — `find_symmetry` returns `None` there).
 #[derive(Debug, Clone)]
 pub struct SymmetryGroup {
     elems: Vec<GroupElem>,

@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -730,6 +730,10 @@ impl EventLoop {
         // for a streaming batch this is what propagates cancellation.
         conn.out.close();
         self.cfg.metrics.add(Counter::OpenConnections, -1);
+        // Half-close first: closing a socket with unread input sends a
+        // reset, and a client that gets it before a FIN reports
+        // `ECONNRESET` instead of reading to the end of the response.
+        let _ = conn.stream.shutdown(Shutdown::Write);
         // `conn.stream` drops here, closing the fd.
     }
 }

@@ -50,11 +50,11 @@ use std::mem::size_of_val;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use bayonet_approx::{rejection, smc, ApproxError, ApproxOptions, Estimate};
+use bayonet_approx::{rejection, render_estimate, smc, ApproxError, ApproxOptions, Estimate};
 use bayonet_exact::{
-    analyze, answer_cached, fan_out, plan_model, synthesize_result, Analysis, ComputePool,
-    EngineKind, ExactError, ExactOptions, FeasibilityCache, Objective, Plan, PlanDecision,
-    PlanEngine, PlannerConfig, QueryResult, SweepResult, SynthesisOptions,
+    analyze, answer_cached, fan_out, plan_model, render_run, render_synthesis, synthesize_result,
+    Analysis, ComputePool, EngineKind, ExactError, ExactOptions, FeasibilityCache, Objective, Plan,
+    PlanDecision, PlanEngine, PlannerConfig, QueryResult, SweepResult, SynthesisOptions,
 };
 use bayonet_lang::{check, parse, pretty_program, Program};
 use bayonet_net::opt::optimize;
@@ -605,20 +605,10 @@ impl Service {
                 explored = ran;
                 let z = analysis.total_terminal_mass();
                 let discarded = analysis.total_discarded_mass();
-
+                let stats = &analysis.stats;
                 // Byte-for-byte the stdout of `bayonet run` with the same
                 // engine selection.
-                let mut text = String::new();
-                for result in &results {
-                    let _ = write!(text, "{result}");
-                }
-                let _ = writeln!(text, "Z = {z} (discarded by observations: {discarded})");
-                let stats = &analysis.stats;
-                let _ = writeln!(
-                    text,
-                    "[{} steps, {} expansions, peak {} configs, {} merge hits]",
-                    stats.steps, stats.expansions, stats.peak_configs, stats.merge_hits
-                );
+                let text = render_run(&results, &z, &discarded, Some(stats));
                 Json::obj(vec![
                     ("ok", Json::Bool(true)),
                     ("engine", Json::Str(req.engine.name().into())),
@@ -666,7 +656,7 @@ impl Service {
                     }
                     .map_err(approx_error)?;
                     // Byte-for-byte the stdout of `bayonet run --engine smc`.
-                    let _ = writeln!(text, "{}: {est}  (Ẑ ≈ {:.4})", q.source, est.z_estimate);
+                    text.push_str(&render_estimate(&q.source, &est));
                     estimates.push(Json::obj(vec![
                         ("query", Json::Str(q.source.clone())),
                         ("value", Json::Num(est.value)),
@@ -801,17 +791,9 @@ impl Service {
         .map_err(|e| ApiError::new(422, "engine_error", e.to_string()))?;
 
         // Byte-for-byte the stdout of `bayonet synthesize`.
-        let mut text = String::new();
-        let _ = writeln!(text, "piecewise result:");
+        let text = render_synthesis(&synthesis, &model.params);
         let mut cells = Vec::new();
         for (i, cell) in synthesis.result.cells.iter().enumerate() {
-            let marker = if i == synthesis.best_cell { "*" } else { " " };
-            let value = cell
-                .value
-                .as_ref()
-                .map(|v| format!("{v}"))
-                .unwrap_or_else(|| "undefined".into());
-            let _ = writeln!(text, "{marker} [{}] {value}", cell.constraint);
             cells.push(Json::obj(vec![
                 ("constraint", Json::Str(cell.constraint.clone())),
                 (
@@ -824,21 +806,16 @@ impl Service {
                 ("best", Json::Bool(i == synthesis.best_cell)),
             ]));
         }
-        let _ = writeln!(
-            text,
-            "optimal value: {} ≈ {:.4}",
-            synthesis.value,
-            synthesis.value.to_f64()
-        );
-        let _ = writeln!(text, "constraint:    {}", synthesis.constraint);
-        let _ = write!(text, "witness:      ");
-        let mut witness = Vec::new();
-        for (pid, v) in &synthesis.assignment {
-            let name = model.params.name(*pid);
-            let _ = write!(text, " {name} = {v}");
-            witness.push((name.to_string(), Json::Str(v.to_string())));
-        }
-        text.push('\n');
+        let witness = synthesis
+            .assignment
+            .iter()
+            .map(|(pid, v)| {
+                (
+                    model.params.name(*pid).to_string(),
+                    Json::Str(v.to_string()),
+                )
+            })
+            .collect();
 
         Ok(Response::json(
             200,
@@ -1191,15 +1168,7 @@ fn sweep_point_response(
     point: &[Rat],
     result: &bayonet_exact::SweepPointResult,
 ) -> Response {
-    let mut text = String::new();
-    for r in &result.results {
-        let _ = write!(text, "{r}");
-    }
-    let _ = writeln!(
-        text,
-        "Z = {} (discarded by observations: {})",
-        result.z, result.discarded
-    );
+    let text = render_run(&result.results, &result.z, &result.discarded, None);
     let point_obj: Vec<(String, Json)> = grid
         .iter()
         .zip(point)

@@ -4,7 +4,9 @@
 //! it — so a loris connection is killed with a `408` no matter how
 //! diligently it drips. A half-closed connection with a truncated head
 //! gets a `400`. A client that vanishes mid-streamed-batch cancels the
-//! batch via the producer's `BrokenPipe` instead of wedging a worker.
+//! batch via the producer's `BrokenPipe` instead of wedging a worker. A
+//! client still streaming an oversized body reads the whole `413` and a
+//! clean EOF, not a reset.
 //! After each abuse the suite proves the loop is still alive (a normal
 //! request round-trips) and that no fd leaked (the
 //! `bayonet_http_open_connections` gauge drains to the scraper's own 1).
@@ -103,6 +105,61 @@ fn torn_request_head_answered_400_and_fd_reclaimed() {
 
     let (status, body) = common::post_run(addr, TINY);
     assert_eq!(status, 200, "loop wedged after torn requests: {body}");
+    common::await_open_connections(addr, 1.0, Duration::from_secs(10));
+
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_body_gets_a_whole_413_then_a_clean_eof() {
+    let handle = start(common::test_config()).expect("start server");
+    let addr = handle.addr();
+
+    // Each client declares a body past `MAX_BODY_BYTES` and keeps streaming
+    // it while the server answers 413 from the head alone, so the server
+    // closes with unread input pending. It must half-close first: a bare
+    // close of such a socket sends a reset, and the client would see
+    // `ECONNRESET` instead of the end of the response.
+    const BODY: usize = 5 * 1024 * 1024;
+    for client in 0..10 {
+        let mut conn = TcpStream::connect(addr).expect("streaming connection");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = conn.try_clone().expect("clone for writer");
+        let streamer = std::thread::spawn(move || {
+            let head =
+                format!("POST /v1/run HTTP/1.1\r\nHost: big\r\nContent-Length: {BODY}\r\n\r\n");
+            if writer.write_all(head.as_bytes()).is_err() {
+                return;
+            }
+            let chunk = [b' '; 64 * 1024];
+            for _ in 0..BODY / chunk.len() {
+                if writer.write_all(&chunk).is_err() {
+                    return; // the server hung up, as it should
+                }
+            }
+        });
+
+        let mut raw = Vec::new();
+        let read = conn.read_to_end(&mut raw);
+        let text = String::from_utf8_lossy(&raw);
+        assert!(
+            read.is_ok(),
+            "client {client}: {read:?} after reading {text:?}"
+        );
+        assert!(text.starts_with("HTTP/1.1 413"), "client {client}: {text}");
+        assert!(
+            text.contains(r#""kind":"too_large""#),
+            "client {client}: {text}"
+        );
+        drop(conn);
+        streamer.join().expect("streamer thread");
+    }
+
+    let (status, body) = common::post_run(addr, TINY);
+    assert_eq!(status, 200, "loop wedged after oversized bodies: {body}");
     common::await_open_connections(addr, 1.0, Duration::from_secs(10));
 
     handle.shutdown();
