@@ -52,6 +52,32 @@ pub enum StepOutcome {
     ObserveFailed,
 }
 
+/// Draws the scheduler's next action for the non-terminal `cfg` (one `f64`
+/// from `rng`, walked over the exact weights) and advances
+/// `cfg.sched_state` past it.
+pub(crate) fn sample_action(
+    model: &Model,
+    scheduler: &dyn Scheduler,
+    cfg: &mut GlobalConfig,
+    rng: &mut StdRng,
+) -> Action {
+    let enabled = cfg.enabled_actions();
+    let dist = scheduler.distribution(cfg.sched_state, &enabled, model.num_nodes());
+    let mut u = rng.gen::<f64>();
+    let mut chosen = &dist[dist.len() - 1];
+    for entry in &dist {
+        let p = entry.1.to_f64();
+        if u < p {
+            chosen = entry;
+            break;
+        }
+        u -= p;
+    }
+    let (action, _, sched_next) = *chosen;
+    cfg.sched_state = sched_next;
+    action
+}
+
 /// Samples one global step (scheduler choice + action) of `cfg`.
 ///
 /// # Errors
@@ -66,22 +92,7 @@ pub fn sample_step(
     if cfg.is_terminal() {
         return Ok(StepOutcome::AlreadyTerminal);
     }
-    let enabled = cfg.enabled_actions();
-    let dist = scheduler.distribution(cfg.sched_state, &enabled, model.num_nodes());
-    // Sample the action by its exact weights.
-    let mut u = rng.gen::<f64>();
-    let mut chosen = &dist[dist.len() - 1];
-    for entry in &dist {
-        let p = entry.1.to_f64();
-        if u < p {
-            chosen = entry;
-            break;
-        }
-        u -= p;
-    }
-    let (action, _, sched_next) = chosen;
-    cfg.sched_state = *sched_next;
-    match *action {
+    match sample_action(model, scheduler, cfg, rng) {
         Action::Fwd(i) => {
             deliver(model, cfg, i)?;
         }

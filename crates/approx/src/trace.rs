@@ -8,11 +8,11 @@
 //! inference on them.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use bayonet_net::{deliver, run_handler, Action, GlobalConfig, HandlerOutcome, Model, Scheduler};
 
-use crate::driver::{sample_initial, SampleDriver};
+use crate::driver::{sample_action, sample_initial, SampleDriver};
 use crate::engine::{ApproxError, ApproxOptions};
 
 /// One recorded simulation event.
@@ -136,21 +136,7 @@ pub fn simulate(
                 terminal: Some(cfg),
             });
         }
-        let enabled = cfg.enabled_actions();
-        let dist = scheduler.distribution(cfg.sched_state, &enabled, model.num_nodes());
-        let mut u = rng.gen::<f64>();
-        let mut chosen = &dist[dist.len() - 1];
-        for entry in &dist {
-            let p = entry.1.to_f64();
-            if u < p {
-                chosen = entry;
-                break;
-            }
-            u -= p;
-        }
-        let (action, _, sched_next) = chosen;
-        cfg.sched_state = *sched_next;
-        match *action {
+        match sample_action(model, scheduler, &mut cfg, &mut rng) {
             Action::Fwd(i) => {
                 let port = cfg.nodes[i].q_out.head().expect("Fwd enabled").1;
                 let (to, _) = model

@@ -47,8 +47,8 @@ fn usage() -> String {
      run options: --engine auto|exact|enum|bdd|smc|rejection|psi|simulate  --particles N\n\
                   --seed N  --scheduler uniform|det|rotor  --bind NAME=VALUE  --threads N\n\
                   --stats  --explain-plan (print the planner's routing and cost estimate)\n\
-                  --no-opt (skip the model-optimization pass pipeline)\n\
-                  --explain-passes (print what each optimization pass did)\n\
+                  --no-opt (skip the symmetry pass)\n\
+                  --explain-passes (print the symmetry group and its orbits)\n\
                   --batch (file is a /v1/batch JSON request; NDJSON frames to stdout)\n\
                   --sweep GRID.json (sweep parameters over a value grid; one NDJSON\n\
                                      frame per grid point, sharing exploration work)\n\
@@ -316,8 +316,9 @@ fn run_queries(source: &str, rest: &[String], threads: usize) -> Result<(), Stri
     }
 
     // The exact family runs the optimized model; sampling/psi engines run
-    // the original (pass rewrites change the draw sequence for a fixed
-    // seed), so for them `--explain-passes` reports on a throwaway copy.
+    // the original (sampling cannot use the symmetry group, so optimizing
+    // would be wasted work), so for them `--explain-passes` reports on a
+    // throwaway copy.
     let exact_family = matches!(engine, "exact" | "enum" | "bdd");
     let pass_report = (passes && exact_family).then(|| network.optimize().clone());
     if explain_passes {
@@ -374,12 +375,9 @@ fn run_queries(source: &str, rest: &[String], threads: usize) -> Result<(), Stri
                 }
                 if let Some(pr) = &pass_report {
                     eprintln!(
-                        "stats: opt {} pass runs, {} flips eliminated, {} guards folded, \
-                         group order {}, {} orbit merges",
-                        pr.pass_runs,
-                        pr.flips_eliminated,
-                        pr.guards_folded,
+                        "stats: opt group order {}, {} orbits, {} orbit merges",
                         pr.group_order,
+                        pr.orbits.len(),
                         report.stats.orbit_merges
                     );
                 }

@@ -73,7 +73,7 @@ pub use bayonet_exact::{
 };
 pub use bayonet_lang::{check, parse, pretty_program};
 pub use bayonet_net::opt;
-pub use bayonet_net::opt::{OptInfo, OptReport, PassConfig};
+pub use bayonet_net::opt::{OptInfo, OptReport};
 pub use bayonet_net::{
     scheduler_for, DeterministicScheduler, Model, QueryKind, RotorScheduler, Scheduler,
     UniformScheduler, WeightedScheduler,

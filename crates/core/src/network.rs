@@ -107,9 +107,9 @@ impl Network {
         self.scheduler = scheduler;
     }
 
-    /// Runs the model-optimization pass pipeline in place and returns the
-    /// pass report. Idempotent: once optimized, later calls return the
-    /// cached report without re-running the passes. The exact engines also
+    /// Runs the symmetry pass ([`bayonet_net::opt::optimize`]) in place and
+    /// returns its report. Idempotent: once optimized, later calls return the
+    /// cached report without re-running the pass. The exact engines also
     /// optimize on entry (unless [`ExactOptions::passes`] is off); calling
     /// this first simply makes the report inspectable — e.g. for the CLI's
     /// `--explain-passes` — and lets one optimized model serve many runs.

@@ -261,10 +261,11 @@ pub struct Model {
     /// Optional observer of parameter-binding reads (see [`ParamWatch`]).
     /// Shared across clones; cleared with [`Model::clear_param_watch`].
     watch: Option<Arc<ParamWatch>>,
-    /// Optimization-pass results (see [`crate::opt`]): present after
+    /// Symmetry group and planner facts (see [`crate::opt`]): present after
     /// [`crate::opt::optimize`] ran, absent on a freshly compiled model.
-    /// Shared across clones; binding-independent by construction (passes
-    /// never fold parameters), so batch items and sweep points reuse it.
+    /// Shared across clones; binding-independent by construction (the
+    /// analysis never reads a parameter), so batch items and sweep points
+    /// reuse it.
     pub(crate) opt_info: Option<Arc<crate::opt::OptInfo>>,
 }
 
@@ -346,7 +347,7 @@ impl Model {
         self.bindings.iter().any(|b| b.is_none())
     }
 
-    /// The optimization-pass results attached by [`crate::opt::optimize`],
+    /// The symmetry group and planner facts attached by [`crate::opt::optimize`],
     /// if the model has been optimized.
     pub fn opt_info(&self) -> Option<&Arc<crate::opt::OptInfo>> {
         self.opt_info.as_ref()

@@ -367,7 +367,7 @@ pub fn truth_of(v: &Val, driver: &mut dyn ChoiceDriver) -> Result<bool, Semantic
 
 /// Applies a (non-short-circuit) binary operation, consulting the driver for
 /// symbolic comparisons.
-pub fn apply_binop(
+pub(crate) fn apply_binop(
     op: BinOp,
     a: &Val,
     b: &Val,

@@ -67,8 +67,8 @@ pub use error::SemanticsError;
 pub use fsio::{atomic_write, fsync_dir};
 pub use global::{deliver, initial_config};
 pub use handler::{
-    apply_binop, build_init_packet, compare, eval_query_expr, eval_state_init, run_handler,
-    truth_of, ChoiceDriver, HandlerOutcome, NoChoiceDriver,
+    build_init_packet, compare, eval_query_expr, eval_state_init, run_handler, truth_of,
+    ChoiceDriver, HandlerOutcome, NoChoiceDriver,
 };
 pub use poll::{nofile_limit, open_fd_count, raise_nofile_limit, Interest, PollEvent, Poller};
 pub use queue::{Packet, PktQueue, QueueEntry};

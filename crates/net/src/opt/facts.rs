@@ -2,7 +2,7 @@
 //!
 //! The exact crate's planner needs per-model signals (random-choice sites,
 //! handler branching, program sharing) to estimate inference cost. It used
-//! to re-walk the model on every plan; the pass pipeline now collects these
+//! to re-walk the model on every plan; [`super::optimize`] now collects these
 //! facts in one traversal and caches them in [`super::OptInfo`], and the
 //! planner falls back to [`model_facts`] — the same implementation — for
 //! unoptimized models, so the two paths cannot diverge.

@@ -1,12 +1,14 @@
-//! Per-pass unit tests for the model-optimization pipeline
-//! (`bayonet_net::opt`): constant/guard folding, loop-invariant hoisting,
-//! dead-flip elimination, and topology symmetry detection — each pinned
-//! through its `OptReport` counters on a program built to trigger exactly
-//! that rewrite. Whole-posterior equivalence of the optimized model is
-//! pinned separately by `crates/exact/tests/opt_differential.rs`.
+//! Unit tests for model analysis (`bayonet_net::opt`): `optimize` never
+//! rewrites a program, the topology symmetry group and orbits it finds are
+//! pinned through `OptReport` on programs built for each case, and the
+//! planner facts it attaches match a fresh traversal. Whole-posterior
+//! equivalence of the optimized model is pinned separately by
+//! `crates/exact/tests/opt_differential.rs`.
 
-use bayonet_lang::parse;
-use bayonet_net::opt::{model_facts, optimize, optimize_with, OptReport, PassConfig};
+use std::sync::Arc;
+
+use bayonet_lang::{parse, testgen::ProgramGen};
+use bayonet_net::opt::{model_facts, optimize, OptReport};
 use bayonet_net::{compile, Model};
 
 fn model(src: &str) -> Model {
@@ -41,72 +43,50 @@ fn two_node(a_body: &str, b_body: &str) -> String {
 
 const RECV: &str = "state got(0) { got = 1; drop; }";
 
-#[test]
-fn constant_guards_fold() {
-    let (_, r) = report(&two_node("{ if 1 < 2 { fwd(1); } else { drop; } }", RECV));
-    assert!(r.guards_folded >= 1, "{r:?}");
-    assert!(r.pass_runs >= 1, "{r:?}");
+fn examples_dir() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/bay")
 }
 
 #[test]
-fn constant_subexpressions_fold() {
-    let (_, r) = report(&two_node(
-        "state x(0) { x = 1 + 2 + 3; if x > 0 { fwd(1); } else { drop; } }",
-        RECV,
-    ));
-    assert!(r.consts_folded >= 1, "{r:?}");
-}
-
-#[test]
-fn parameter_guards_never_fold() {
-    // Binding independence: `P` must survive every pass so one optimized
-    // model serves all sweep points and batch bindings.
-    let (optimized, r) = report(&two_node("{ if P < 5 { fwd(1); } else { drop; } }", RECV));
-    assert_eq!(r.guards_folded, 0, "{r:?}");
-    assert!(optimized.has_symbolic_params());
-}
-
-#[test]
-fn loop_invariant_binding_hoists() {
-    let (_, r) = report(&two_node(
-        "state s(0), n(0) {
-            while n < 2 { cost = P + 1; s = s + cost; n = n + 1; }
-            if s > 0 { fwd(1); } else { drop; }
-        }",
-        RECV,
-    ));
-    assert!(r.hoisted >= 1, "{r:?}");
-}
-
-#[test]
-fn dead_flip_assignment_is_eliminated() {
-    // `junk` is written with randomness but never read by any statement or
-    // query: the flip site must disappear (fewer random branches for the
-    // engines) without touching the live `got` path.
-    let (_, r) = report(&two_node(
-        "state junk(0) { junk = flip(1/2); fwd(1); }",
-        RECV,
-    ));
-    assert!(r.flips_eliminated >= 1, "{r:?}");
-    assert!(r.dead_stmts >= 1, "{r:?}");
-}
-
-#[test]
-fn dead_randomized_initializer_is_zeroed() {
-    let (_, r) = report(&two_node("state junk(flip(1/2)) { fwd(1); }", RECV));
-    assert!(r.inits_zeroed >= 1, "{r:?}");
-    // Per the field contract, zeroed initializers count as eliminated
-    // random sites too.
-    assert!(r.flips_eliminated >= r.inits_zeroed, "{r:?}");
-}
-
-#[test]
-fn live_flips_are_never_eliminated() {
-    let (_, r) = report(&two_node(
-        "state coin(0) { coin = flip(1/2); if coin == 1 { fwd(1); } else { drop; } }",
-        RECV,
-    ));
-    assert_eq!(r.flips_eliminated, 0, "{r:?}");
+fn optimize_never_rewrites_a_program() {
+    // `optimize` only attaches the symmetry group and the planner facts:
+    // every program of the result is the input's own `Arc`, so the engines
+    // run exactly the compiled handlers.
+    let mut sources = Vec::new();
+    for entry in std::fs::read_dir(examples_dir()).expect("examples/bay") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_some_and(|e| e == "bay") {
+            let text = std::fs::read_to_string(&path).expect("readable example");
+            sources.push((path.display().to_string(), text));
+        }
+    }
+    assert!(
+        sources.len() >= 7,
+        "examples/bay has {} programs",
+        sources.len()
+    );
+    for seed in 0..50 {
+        sources.push((
+            format!("testgen seed {seed}"),
+            ProgramGen::new(seed).generate(),
+        ));
+        sources.push((
+            format!("parameterized testgen seed {seed}"),
+            ProgramGen::new_parameterized(seed).generate(),
+        ));
+    }
+    for (name, source) in &sources {
+        let m = model(source);
+        let optimized = optimize(&m);
+        assert!(optimized.opt_info().is_some(), "{name}");
+        assert_eq!(optimized.programs.len(), m.programs.len(), "{name}");
+        for (i, (got, input)) in optimized.programs.iter().zip(&m.programs).enumerate() {
+            assert!(
+                Arc::ptr_eq(got, input),
+                "{name}: program of node {i} was rewritten"
+            );
+        }
+    }
 }
 
 const GOSSIP_K4: &str = r#"
@@ -183,47 +163,9 @@ fn node_state_in_the_query_blocks_asymmetric_permutations() {
 }
 
 #[test]
-fn disabling_individual_passes_skips_their_rewrites() {
-    let src = two_node(
-        "state junk(0) { junk = flip(1/2); if 1 < 2 { fwd(1); } else { drop; } }",
-        RECV,
-    );
-    let m = model(&src);
-    let no_fold = optimize_with(
-        &m,
-        &PassConfig {
-            fold: false,
-            ..PassConfig::default()
-        },
-    );
-    let r = &no_fold.opt_info().unwrap().report;
-    assert_eq!(r.guards_folded + r.consts_folded + r.hoisted, 0, "{r:?}");
-    let no_dead = optimize_with(
-        &m,
-        &PassConfig {
-            dead_flip: false,
-            ..PassConfig::default()
-        },
-    );
-    let r = &no_dead.opt_info().unwrap().report;
-    assert_eq!(r.dead_stmts + r.flips_eliminated, 0, "{r:?}");
-    let no_sym = optimize_with(
-        &m,
-        &PassConfig {
-            symmetry: false,
-            ..PassConfig::default()
-        },
-    );
-    let info = no_sym.opt_info().unwrap();
-    assert_eq!(info.report.group_order, 1);
-    assert!(info.symmetry.is_none());
-}
-
-#[test]
 fn attached_facts_describe_the_optimized_model() {
     // The planner consumes `opt_info.facts` instead of re-walking the
-    // model; they must equal a fresh traversal of the *optimized* model
-    // (dead flips removed), not of the input.
+    // model; they must equal a fresh traversal of the optimized model.
     let src = two_node(
         "state junk(0) { junk = flip(1/2); coin = flip(1/2);
           if coin == 1 { fwd(1); } else { drop; } }",
@@ -237,9 +179,9 @@ fn attached_facts_describe_the_optimized_model() {
     assert_eq!(cached.dup_sites, fresh.dup_sites);
     assert_eq!(cached.shared_program_nodes, fresh.shared_program_nodes);
     assert!((cached.handler_branching - fresh.handler_branching).abs() < 1e-12);
-    // And the dead flip is really gone from the cost model's view: only
-    // the live coin flip remains on node A.
-    assert_eq!(cached.flip_sites, 1, "{cached:?}");
+    // Both flips on node A count, the unread `junk` one included: nothing
+    // is removed from the program.
+    assert_eq!(cached.flip_sites, 2, "{cached:?}");
 }
 
 #[test]

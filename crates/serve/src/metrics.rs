@@ -44,7 +44,7 @@ pub(crate) enum Counter {
     MemoHits, MemoMisses, MemoBytes,
     // Exact-engine work, summed over every run.
     EngineSteps, EngineExpansions, EngineMergeHits, EnginePeakConfigs,
-    OptPassRuns, OptFlipsEliminated, OptGuardsFolded, OptOrbitStatesMerged,
+    OptPassRuns, OptOrbitStatesMerged,
     BddNodes, BddUniqueHits, BddApplyCacheHits, FeasibilityHits, FeasibilityMisses,
     // Planner.
     PlannerRejections,
@@ -111,7 +111,7 @@ use Source::{CostRatio, Labelled, Latency, Persist, Pool, Requests, Scalar};
 
 /// Every family `/metrics` exposes, in exposition order.
 #[rustfmt::skip]
-const FAMILIES: [Family; 50] = [
+const FAMILIES: [Family; 48] = [
     counter("bayonet_requests_total", Requests, "Completed HTTP requests."),
     histogram("bayonet_request_seconds", Latency, "Request latency."),
     gauge("bayonet_queue_depth", Scalar(C::QueueDepth), "Jobs waiting in the worker queue."),
@@ -174,10 +174,6 @@ const FAMILIES: [Family; 50] = [
     gauge("bayonet_engine_peak_configs", Scalar(C::EnginePeakConfigs), "Largest frontier seen."),
     counter("bayonet_opt_pass_runs_total", Scalar(C::OptPassRuns),
         "Model-optimization pass executions."),
-    counter("bayonet_opt_flips_eliminated_total", Scalar(C::OptFlipsEliminated),
-        "Random sites removed by dead-flip elimination."),
-    counter("bayonet_opt_guards_folded_total", Scalar(C::OptGuardsFolded),
-        "Constant guards folded by the pass pipeline."),
     counter("bayonet_opt_orbit_states_merged_total", Scalar(C::OptOrbitStatesMerged),
         "Frontier configurations replaced by their symmetry-orbit representative."),
     counter("bayonet_bdd_nodes_total", Scalar(C::BddNodes),
@@ -493,8 +489,6 @@ mod tests {
             (C::BatchCompiles, 3),
             (C::BatchSourceReuse, 10),
             (C::OptPassRuns, 4),
-            (C::OptFlipsEliminated, 2),
-            (C::OptGuardsFolded, 5),
             (C::FeasibilityHits, 12),
             (C::FeasibilityMisses, 7),
             (C::PlannerRejections, 1),

@@ -48,8 +48,11 @@ pub const DEFAULT_CACHE_MAX_BYTES: u64 = 64 * 1024 * 1024;
 
 const MAGIC: [u8; 4] = *b"BAYC";
 /// Bumped whenever the cache key scheme changes, so records stored under
-/// old keys are discarded on load instead of never matching again.
-const FORMAT_VERSION: u32 = 2;
+/// old keys are discarded on load instead of never matching again, and
+/// whenever a fresh run of a key would answer differently (version 3: the
+/// engine `stats` of programs the deleted fold and dead-flip passes used to
+/// rewrite).
+const FORMAT_VERSION: u32 = 3;
 const HEADER_LEN: usize = 8;
 /// A payload is a key plus one JSON response body; anything claiming to be
 /// larger than this is treated as framing corruption, not data.

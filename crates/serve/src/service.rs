@@ -396,8 +396,8 @@ impl Service {
             }
             _ => {
                 // Exact engines run the optimized model; sampling engines
-                // run the original, because pass rewrites change the draw
-                // sequence for a fixed seed.
+                // run the original, because sampling cannot use the
+                // symmetry group and optimizing would be wasted work.
                 let exact = matches!(item.engine, Engine::Exact | Engine::Bdd);
                 let (model, plan) = match routed {
                     Some((model, plan)) if exact => (model, Some(plan)),
@@ -440,15 +440,7 @@ impl Service {
                 }
             }
             let optimized = optimize(model);
-            let r = &optimized
-                .opt_info()
-                .expect("optimize attaches its report")
-                .report;
-            self.metrics.add(Counter::OptPassRuns, r.pass_runs as i64);
-            self.metrics
-                .add(Counter::OptFlipsEliminated, r.flips_eliminated as i64);
-            self.metrics
-                .add(Counter::OptGuardsFolded, r.guards_folded as i64);
+            self.metrics.add(Counter::OptPassRuns, 1);
             let kept = Arc::new(Kept {
                 model: optimized,
                 exploration: OnceLock::new(),
