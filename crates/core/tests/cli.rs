@@ -233,8 +233,9 @@ fn run_auto_engine_routes_and_explains() {
     assert!(stderr.contains("est_cost="), "{stderr}");
     assert!(stderr.contains("shared_program_nodes="), "{stderr}");
 
-    // Without the passes nothing merges symmetric states, and the BDD
-    // backend's program sharing wins.
+    // Without the passes nothing merges symmetric states, but auto still
+    // enumerates: it does not price the BDD backend, which measured slower
+    // than enumeration over interned node configurations everywhere.
     let (ok, stdout, stderr) = cli(&[
         "run",
         &bay_file("gossip_k4.bay"),
@@ -245,7 +246,8 @@ fn run_auto_engine_routes_and_explains() {
     ]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("94/27"), "{stdout}");
-    assert!(stderr.contains("plan: engine=bdd"), "{stderr}");
+    assert!(stderr.contains("plan: engine=enum"), "{stderr}");
+    assert!(!stderr.contains("bdd="), "{stderr}");
 
     // --explain-plan also works with an explicit engine and never changes
     // what actually runs.
@@ -316,4 +318,34 @@ fn run_sweep_rejects_incompatible_flags_and_bad_grids() {
     let (ok, _, stderr) = cli(&["run", &bay_file("gossip_k4.bay"), "--sweep", &grid]);
     assert!(!ok);
     assert!(stderr.contains("unknown swept parameter `K`"), "{stderr}");
+}
+
+#[test]
+fn run_over_the_initial_config_limit_exits_1() {
+    // Four 1,000-way random initializers: a 10¹²-entry initial product that
+    // must be refused as a configuration-limit error, not allocated.
+    let path = std::env::temp_dir().join(format!("bayonet-wide-init-{}.bay", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"
+        packet_fields { dst }
+        topology {
+            nodes { A, B, C, D }
+            links { (A, pt1) <-> (B, pt1), (C, pt1) <-> (D, pt1) }
+        }
+        programs { A -> n, B -> n, C -> n, D -> n }
+        init { packet -> (A, pt1); }
+        query probability(x@A == 0);
+        def n(pkt, pt) state x(uniformInt(0, 999)) { drop; }
+        "#,
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_bayonet"))
+        .args(["run", path.to_str().unwrap()])
+        .output()
+        .expect("spawn bayonet CLI");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("configuration limit"), "{stderr}");
 }

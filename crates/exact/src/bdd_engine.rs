@@ -49,54 +49,15 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
-use std::sync::Arc;
 
-use bayonet_bdd::{FastMap, NodeRef, Store, BLOCK_BITS};
-use bayonet_num::Rat;
-use bayonet_symbolic::{FeasibilityCache, Guard};
+use bayonet_bdd::{NodeRef, Store, BLOCK_BITS};
+use bayonet_num::{FastMap, Rat};
+use bayonet_symbolic::Guard;
 
-use bayonet_net::opt::SymmetryGroup;
-use bayonet_net::{
-    initial_config, run_handler, Action, GlobalConfig, HandlerOutcome, Model, NodeConfig, Packet,
-    Scheduler, SemanticsError, Val,
-};
+use bayonet_net::{depart, Action, GlobalConfig, Model, NodeConfig, Packet, Scheduler};
 
-use crate::engine::{Analysis, EngineStats, ExactError, ExactOptions};
-use crate::enumerate::enumerate_eval_cached;
-
-/// Dense interner for node-local configurations: block `b` of every diagram
-/// stores indices into this table.
-#[derive(Default)]
-struct Interner {
-    list: Vec<NodeConfig>,
-    /// `(q_in nonempty, q_out nonempty)` per id — the action-enabling flags.
-    flags: Vec<(bool, bool)>,
-    errors: Vec<bool>,
-    map: HashMap<NodeConfig, u32>,
-}
-
-impl Interner {
-    fn id(&mut self, cfg: NodeConfig) -> u32 {
-        if let Some(&id) = self.map.get(&cfg) {
-            return id;
-        }
-        let id = self.list.len() as u32;
-        self.flags
-            .push((!cfg.q_in.is_empty(), !cfg.q_out.is_empty()));
-        self.errors.push(cfg.error);
-        self.list.push(cfg.clone());
-        self.map.insert(cfg, id);
-        id
-    }
-
-    fn get(&self, id: u32) -> &NodeConfig {
-        &self.list[id as usize]
-    }
-
-    fn flag(&self, id: u32) -> (bool, bool) {
-        self.flags[id as usize]
-    }
-}
+use crate::engine::{run_cache_opts, step_bound, Analysis, EngineStats, ExactError, ExactOptions};
+use crate::store::{initial_states, StateStore, Symmetry, View};
 
 /// Frontier group key: everything action enabling and the scheduler
 /// distribution can depend on. Groups are expanded in sorted order so every
@@ -125,18 +86,6 @@ impl GroupKey {
     }
 }
 
-/// One memoized handler branch of `(Run, i)` on a given local configuration.
-struct RunBranch {
-    weight: Rat,
-    /// `weight` interned in the store (id arithmetic avoids re-hashing).
-    weight_id: u32,
-    guard: Guard,
-    outcome: HandlerOutcome,
-    /// Interned successor local configuration (error flag already applied
-    /// for `AssertFailed`). Unused for `ObserveFailed`.
-    new_id: u32,
-}
-
 /// The memoized effect of `(Fwd, i)` on one local configuration of `i`.
 enum FwdInfo {
     /// The link loops back to the sender: pop and push both applied.
@@ -160,12 +109,15 @@ impl FwdInfo {
 }
 
 /// Memo tables and model context shared by the transform leaf callbacks.
+/// Block `b` of every diagram stores ids from `states`, the enumeration
+/// engine's state store, which also canonicalizes by symmetry orbit and
+/// memoizes handler branches. The forward memos stay here: the diagram
+/// applies a forward's pop and push in separate transforms, keyed
+/// differently from the store's single-pass [`View::forward`].
 struct Ctx<'a> {
     model: &'a Model,
-    fm_pruning: bool,
-    cache: Option<&'a FeasibilityCache>,
-    interner: Interner,
-    run_memo: HashMap<(usize, u32), RunMemo>,
+    opts: &'a ExactOptions,
+    states: View<'a>,
     fwd_memo: HashMap<(usize, u32), Rc<FwdInfo>>,
     /// Packet arrivals: `(dst local config, delivery ctx) -> successor id`.
     push_memo: HashMap<(u32, u32), u32>,
@@ -186,74 +138,23 @@ impl Ctx<'_> {
         id
     }
 
-    /// The handler branches of `(Run, i)` on local configuration `v` under
-    /// `guard` — computed once per distinct `(i, v, guard)`.
-    fn run_branches(
-        &mut self,
-        store: &mut Store,
-        i: usize,
-        v: u32,
-        guard: &Guard,
-    ) -> Result<Rc<Vec<RunBranch>>, ExactError> {
-        if let Some(entries) = self.run_memo.get(&(i, v)) {
-            // Guards per (node, config) are few; a linear scan beats
-            // cloning the guard into a hash key on every leaf.
-            if let Some((_, b)) = entries.iter().find(|(g, _)| g == guard) {
-                return Ok(Rc::clone(b));
-            }
-        }
-        let model = self.model;
-        let interner = &self.interner;
-        let raw = enumerate_eval_cached(guard, self.fm_pruning, self.cache, |driver| {
-            let mut node_cfg = interner.get(v).clone();
-            let outcome = run_handler(model, i, &mut node_cfg, driver)?;
-            Ok((node_cfg, outcome))
-        })?;
-        let recs: Vec<RunBranch> = raw
-            .into_iter()
-            .map(|b| {
-                let (mut node_cfg, outcome) = b.result;
-                if outcome == HandlerOutcome::AssertFailed {
-                    node_cfg.error = true;
-                }
-                RunBranch {
-                    weight_id: store.intern_weight(&b.weight),
-                    weight: b.weight,
-                    guard: b.guard,
-                    outcome,
-                    new_id: self.interner.id(node_cfg),
-                }
-            })
-            .collect();
-        let recs = Rc::new(recs);
-        self.run_memo
-            .entry((i, v))
-            .or_default()
-            .push((guard.clone(), Rc::clone(&recs)));
-        Ok(recs)
-    }
-
     /// The effect of `(Fwd, i)` on local configuration `v` — computed once
     /// per distinct `(i, v)`.
     fn fwd_info(&mut self, i: usize, v: u32) -> Result<Rc<FwdInfo>, ExactError> {
         if let Some(info) = self.fwd_memo.get(&(i, v)) {
             return Ok(Rc::clone(info));
         }
-        let mut nc = self.interner.get(v).clone();
-        let (pkt, port) = nc.q_out.pop_front().expect("Fwd was enabled");
-        let (dst, dst_port) = self
-            .model
-            .link_dest(i, port)
-            .ok_or(SemanticsError::NoLinkOnPort { node: i, port })?;
+        let mut nc = self.states.node(v).clone();
+        let (dst, (pkt, dst_port)) = depart(self.model, &mut nc, i)?;
         let info = if dst == i {
             // Self-link: drop silently on a full queue, like `deliver`.
             nc.q_in.push_back((pkt, dst_port));
             FwdInfo::Local {
-                new_id: self.interner.id(nc),
+                new_id: self.states.intern(nc),
             }
         } else {
             FwdInfo::Remote {
-                new_id: self.interner.id(nc),
+                new_id: self.states.intern(nc),
                 dst,
                 ctx: self.ctx_id(pkt, dst_port),
             }
@@ -270,9 +171,9 @@ impl Ctx<'_> {
             return u2;
         }
         let (pkt, port) = self.ctx_list[ctx as usize].clone();
-        let mut nd = self.interner.get(u).clone();
+        let mut nd = self.states.node(u).clone();
         nd.q_in.push_back((pkt, port));
-        let u2 = self.interner.id(nd);
+        let u2 = self.states.intern(nd);
         self.push_memo.insert((u, ctx), u2);
         u2
     }
@@ -283,10 +184,6 @@ type Pieces<T> = Rc<Vec<(T, NodeRef)>>;
 
 /// A [`transform`] leaf callback's result: tagged replacement pieces.
 type LeafPieces<T> = Result<Vec<(T, NodeRef)>, ExactError>;
-
-/// Memoized [`Ctx::run_branches`] expansions for one `(node, config)`
-/// pair: the guard each entry was derived under, plus the shared branches.
-type RunMemo = Vec<(Guard, Rc<Vec<RunBranch>>)>;
 
 /// Tag of the inner pop-side transform of an upward remote forward: the
 /// interned delivery context plus the popped node's `(sched, active)` flags.
@@ -496,7 +393,7 @@ fn canon_route(
     store: &mut Store,
     ctx: &mut Ctx<'_>,
     stats: &mut EngineStats,
-    sym: Option<&SymmetryGroup>,
+    sym: Option<&Symmetry<'_>>,
     next: &mut HashMap<GroupKey, Vec<NodeRef>>,
     terminal: &mut HashMap<(u32, Guard), Vec<NodeRef>>,
     sched_state: u32,
@@ -505,7 +402,7 @@ fn canon_route(
     has_error: bool,
     diagram: NodeRef,
 ) {
-    let Some(group) = sym else {
+    let Some(sym) = sym else {
         route(
             store,
             stats,
@@ -524,29 +421,25 @@ fn canon_route(
     }
     let mut paths = Vec::new();
     store.enumerate(diagram, &mut paths);
-    for (ids, mass) in paths {
-        let nodes: Vec<NodeConfig> = ids.iter().map(|&id| ctx.interner.get(id).clone()).collect();
-        let mut cfg = GlobalConfig { sched_state, nodes };
-        if group.canonicalize(&mut cfg) {
+    for (mut ids, mass) in paths {
+        if ctx.states.canonicalize(sym, &mut ids) {
             stats.orbit_merges += 1;
         }
-        let ids: Vec<u32> = cfg
-            .nodes
-            .iter()
-            .map(|n| ctx.interner.id(n.clone()))
-            .collect();
         let mut d = store.terminal(mass);
         for (block, &id) in ids.iter().enumerate().rev() {
             d = store.encode(block as u32, id, d);
         }
-        let flags: Vec<(bool, bool)> = ids.iter().map(|&id| ctx.interner.flag(id)).collect();
-        let has_error = ids.iter().any(|&id| ctx.interner.errors[id as usize]);
+        let flags: Vec<(bool, bool)> = ids
+            .iter()
+            .map(|&id| ctx.states.flags(id).queues())
+            .collect();
+        let has_error = ids.iter().any(|&id| ctx.states.flags(id).error);
         route(
             store,
             stats,
             next,
             terminal,
-            cfg.sched_state,
+            sched_state,
             guard.clone(),
             flags,
             has_error,
@@ -599,82 +492,54 @@ pub(crate) fn analyze_bdd(
 ) -> Result<Analysis, ExactError> {
     let mut stats = EngineStats::default();
     let k = model.num_nodes();
-    let step_bound = model.num_steps.unwrap_or(opts.max_global_steps);
-
-    let run_cache: Arc<FeasibilityCache> = opts.feasibility_cache.clone().unwrap_or_default();
-    let (hits_before, misses_before) = run_cache.counts();
+    let step_bound = step_bound(model, opts);
+    let (run_cache, opts, (hits_before, misses_before)) = run_cache_opts(opts);
+    let opts = &opts;
 
     // Same gate as the enumeration engine: canonicalize by orbit only when
     // the scheduler commutes with node permutations and parameters are
     // concrete.
-    let sym = crate::engine::symmetry_for(model, scheduler);
+    let sym = crate::engine::symmetry_for(model, scheduler).map(Symmetry::new);
+    let sym = sym.as_ref();
 
     let mut store = Store::new();
+    let empty = StateStore::default();
     let mut ctx = Ctx {
         model,
-        fm_pruning: opts.fm_pruning,
-        cache: Some(&*run_cache),
-        interner: Interner::default(),
-        run_memo: HashMap::new(),
+        opts,
+        states: View::new(&empty, StateStore::default()),
         fwd_memo: HashMap::new(),
         push_memo: HashMap::new(),
         ctx_list: Vec::new(),
         ctx_map: HashMap::new(),
     };
 
-    // Initial distribution: identical enumeration to the enumeration engine.
-    let mut initial: Vec<(Vec<Vec<Val>>, Rat, Guard)> =
-        vec![(Vec::with_capacity(k), Rat::one(), Guard::top())];
-    for node in 0..k {
-        let prog = &model.programs[node];
-        let node_branches =
-            enumerate_eval_cached(&Guard::top(), opts.fm_pruning, ctx.cache, |driver| {
-                bayonet_net::eval_state_init(model, prog, driver)
-            })?;
-        let mut next = Vec::with_capacity(initial.len() * node_branches.len());
-        for (states, mass, guard) in &initial {
-            for b in &node_branches {
-                let Some(combined) = guard.conjoin(&b.guard) else {
-                    continue; // contradictory parameter assumptions
-                };
-                let mut states = states.clone();
-                states.push(b.result.clone());
-                next.push((states, mass * &b.weight, combined));
-            }
-        }
-        initial = next;
-    }
-
     let mut frontier: HashMap<GroupKey, Vec<NodeRef>> = HashMap::new();
     let mut terminal_acc: HashMap<(u32, Guard), Vec<NodeRef>> = HashMap::new();
     let mut discarded: HashMap<Guard, Rat> = HashMap::new();
 
-    for (states, mass, guard) in initial {
-        let mut cfg = initial_config(model, states)?;
+    // Initial distribution: the enumeration engine's, over the same ids.
+    let initial = initial_states(model, opts, &mut |nc| ctx.states.intern(nc))?;
+    for (guard, ids, mass) in initial {
         if mass.is_zero() {
             continue; // see the module docs: zero-weight branches drop
         }
-        if let Some(group) = sym {
-            if group.canonicalize(&mut cfg) {
-                stats.orbit_merges += 1;
-            }
-        }
-        let ids: Vec<u32> = cfg
-            .nodes
-            .iter()
-            .map(|n| ctx.interner.id(n.clone()))
-            .collect();
         let mut diagram = store.terminal(mass);
         for (block, &id) in ids.iter().enumerate().rev() {
             diagram = store.encode(block as u32, id, diagram);
         }
-        let flags: Vec<(bool, bool)> = ids.iter().map(|&id| ctx.interner.flag(id)).collect();
-        route(
+        let flags: Vec<(bool, bool)> = ids
+            .iter()
+            .map(|&id| ctx.states.flags(id).queues())
+            .collect();
+        canon_route(
             &mut store,
+            &mut ctx,
             &mut stats,
+            sym,
             &mut frontier,
             &mut terminal_acc,
-            cfg.sched_state,
+            0,
             guard,
             flags,
             false,
@@ -704,7 +569,7 @@ pub(crate) fn analyze_bdd(
             });
         }
         stats.peak_configs = stats.peak_configs.max(live as usize);
-        if live as usize > opts.max_configs {
+        if live as usize > opts.max_configs || ctx.states.entries() > opts.max_configs {
             return Err(ExactError::ConfigLimit(opts.max_configs));
         }
         if opts.deadline.expired() {
@@ -779,7 +644,7 @@ pub(crate) fn analyze_bdd(
         for (ids, mass) in paths {
             debug_assert_eq!(ids.len(), k);
             let nodes: Vec<NodeConfig> =
-                ids.iter().map(|&id| ctx.interner.get(id).clone()).collect();
+                ids.iter().map(|&id| ctx.states.node(id).clone()).collect();
             terminals.push((guard.clone(), GlobalConfig { sched_state, nodes }, mass));
         }
     }
@@ -808,7 +673,7 @@ fn expand_run(
     store: &mut Store,
     ctx: &mut Ctx<'_>,
     stats: &mut EngineStats,
-    sym: Option<&SymmetryGroup>,
+    sym: Option<&Symmetry<'_>>,
     key: &GroupKey,
     root: NodeRef,
     i: usize,
@@ -829,7 +694,7 @@ fn expand_run(
             root,
             base,
             &mut |store, v, below| {
-                let branches = ctx.run_branches(store, i, v, guard)?;
+                let branches = ctx.states.run_branches(ctx.model, ctx.opts, i, v, guard)?;
                 let mut out: Vec<(RunTag, NodeRef)> = Vec::new();
                 for b in branches.iter() {
                     if b.weight.is_zero() {
@@ -839,23 +704,24 @@ fn expand_run(
                     // so the diagram is scaled once, not twice (exact
                     // rational products are associative, so the posterior
                     // is unchanged bit for bit). All weight arithmetic is
-                    // on interned ids: no rational is re-hashed per leaf.
-                    let w = store.mul_weights(b.weight_id, p_id);
-                    match b.outcome {
-                        HandlerOutcome::ObserveFailed => {
+                    // on interned ids.
+                    let w = store.intern_weight(&b.weight);
+                    let w = store.mul_weights(w, p_id);
+                    match b.next {
+                        None => {
                             // Keep the restricted sub-diagram; its mass is
                             // taken after the prefix is rebuilt so shared
                             // suffixes are weighted by their multiplicity.
                             let piece = store.scale_id(below, w);
                             merge_piece(store, &mut out, RunTag::Discard(b.guard.clone()), piece);
                         }
-                        HandlerOutcome::Completed | HandlerOutcome::AssertFailed => {
+                        Some(next) => {
                             let scaled = store.scale_id(below, w);
-                            let piece = store.encode(i as u32, b.new_id, scaled);
+                            let piece = store.encode(i as u32, next, scaled);
                             let tag = RunTag::Go {
                                 guard: b.guard.clone(),
-                                flags: ctx.interner.flag(b.new_id),
-                                error: ctx.interner.errors[b.new_id as usize],
+                                flags: ctx.states.flags(next).queues(),
+                                error: ctx.states.flags(next).error,
                             };
                             merge_piece(store, &mut out, tag, piece);
                         }
@@ -908,7 +774,7 @@ fn expand_fwd(
     store: &mut Store,
     ctx: &mut Ctx<'_>,
     stats: &mut EngineStats,
-    sym: Option<&SymmetryGroup>,
+    sym: Option<&Symmetry<'_>>,
     key: &GroupKey,
     root: NodeRef,
     i: usize,
@@ -945,7 +811,7 @@ fn expand_fwd(
                     // exactly once per action.
                     let below = store.scale_id(below, p_id);
                     let piece = store.encode(i as u32, *new_id, below);
-                    let flags = set_flags(base_flags, i, ctx.interner.flag(*new_id));
+                    let flags = set_flags(base_flags, i, ctx.states.flags(*new_id).queues());
                     Ok(vec![(flags, piece)])
                 },
                 &mut memo,
@@ -986,12 +852,12 @@ fn expand_fwd(
                             let u2 = ctx.push(u, delivery);
                             let below2 = store.scale_id(below2, p_id);
                             let piece = store.encode(dst as u32, u2, below2);
-                            Ok(vec![(ctx.interner.flag(u2), piece)])
+                            Ok(vec![(ctx.states.flags(u2).queues(), piece)])
                         },
                         inner_memo,
                     )?;
                     let mut out: Vec<(FwdTag, NodeRef)> = Vec::new();
-                    let sender = set_flags(base_flags, i, ctx.interner.flag(new_id));
+                    let sender = set_flags(base_flags, i, ctx.states.flags(new_id).queues());
                     let below_w = store.edge_weight(below);
                     for (dst_flags, piece) in arrived.iter() {
                         let piece = store.rescale(*piece, below_w);
@@ -1036,7 +902,10 @@ fn expand_fwd(
                             }
                             let below2 = store.scale_id(below2, p_id);
                             let piece = store.encode(i as u32, *new_id, below2);
-                            Ok(vec![((*delivery, ctx.interner.flag(*new_id)), piece)])
+                            Ok(vec![(
+                                (*delivery, ctx.states.flags(*new_id).queues()),
+                                piece,
+                            )])
                         },
                         &mut inner_memo,
                     )?;
@@ -1047,7 +916,7 @@ fn expand_fwd(
                         let u2 = ctx.push(u, *delivery);
                         let topped = store.encode(dst as u32, u2, piece);
                         let flags = set_flags(
-                            set_flags(base_flags, dst, ctx.interner.flag(u2)),
+                            set_flags(base_flags, dst, ctx.states.flags(u2).queues()),
                             i,
                             *i_flags,
                         );

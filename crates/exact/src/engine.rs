@@ -8,36 +8,47 @@
 //! 30-node networks tractable. Observation failures remove mass, which is
 //! restored by normalizing with the surviving mass `Z` (paper §3.2).
 //!
+//! # State store
+//!
+//! Configurations live in a per-run [`StateStore`](crate::store): every
+//! distinct node configuration is interned once under a dense `u32` id, and
+//! a frontier entry is `(guard, scheduler state, one id per node, mass)`.
+//! A `(Run, i)` successor copies the id slice and replaces one id, from
+//! handler branches memoized per `(node, id, guard)`; a `(Fwd, i)` successor
+//! replaces at most two, from a memoized pop and push. Merging hashes ids,
+//! not configurations, and symmetry relabels ids through a memo. The store
+//! is dropped with the run; [`EnumState::finish`] decodes the terminals
+//! back into [`GlobalConfig`]s, so [`Analysis`] is unchanged.
+//!
 //! # Parallel expansion and determinism
 //!
 //! Expanding one configuration is independent of every other, so each step
 //! cuts a large frontier into chunks and hands them to
 //! [`crate::pool::fan_out`]: every worker lane takes the next unclaimed
 //! chunk from one shared counter, and the chunk outputs come back in chunk
-//! order. A single-threaded step is the same code with one chunk on one
-//! lane. To make the *results bit-for-bit reproducible regardless of
-//! schedule*, every merge ([`compress`]) also sorts its output by the
-//! canonical `(GlobalConfig, Guard)` state key. A single-threaded run and an
-//! 8-thread run therefore produce identical [`Analysis`] values (identical
-//! terminals, identical statistics apart from the feasibility-cache
-//! counters) and report the same error, which
-//! `crates/exact/tests/differential.rs` locks down.
+//! order. Each chunk interns into its own overlay of the store, absorbed in
+//! chunk order after the step. A single-threaded step is the same code with
+//! one chunk on one lane, interning straight into the store. Intern ids
+//! depend on the schedule, so nothing is ordered by id: to make the
+//! *results bit-for-bit reproducible regardless of schedule*, every merge
+//! ([`compress`]) sorts its output by the structural `(GlobalConfig,
+//! Guard)` order, comparing equal ids without looking at the
+//! configurations. A single-threaded run and an 8-thread run therefore
+//! produce identical [`Analysis`] values (identical terminals, identical
+//! statistics apart from the feasibility-cache counters) and report the
+//! same error, which `crates/exact/tests/differential.rs` locks down.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bayonet_num::Rat;
+use bayonet_num::{FastMap, Rat};
 use bayonet_symbolic::{FeasibilityCache, Guard};
 
-use bayonet_net::{
-    deliver, initial_config, run_handler, Action, Deadline, GlobalConfig, HandlerOutcome, Model,
-    Scheduler, SemanticsError, Val,
-};
+use bayonet_net::{Action, Deadline, GlobalConfig, Model, Scheduler, SemanticsError};
 
-use crate::enumerate::enumerate_eval_cached;
 use crate::pool::{fan_out, ComputePool};
+use crate::store::{initial_states, Remap, StateKey, StateStore, Symmetry, View};
 
 /// Which exact backend explores the global transition system. Both produce
 /// bit-identical [`Analysis`] posteriors; they differ in how the frontier is
@@ -54,9 +65,10 @@ pub enum EngineKind {
     /// order of magnitude — when nodes' local states are conditionally
     /// independent. Single-threaded; ignores [`ExactOptions::threads`].
     Bdd,
-    /// Let the static cost model pick between [`EngineKind::Enum`] and
-    /// [`EngineKind::Bdd`] (see [`crate::planner`]). The choice is a pure
-    /// function of the model, so results stay deterministic.
+    /// Let the static cost model pick the backend (see [`crate::planner`]);
+    /// it picks [`EngineKind::Enum`], which measured faster than
+    /// [`EngineKind::Bdd`] everywhere. The choice is a pure function of the
+    /// model, so results stay deterministic.
     Auto,
 }
 
@@ -67,7 +79,10 @@ pub struct ExactOptions {
     /// (the paper's generated programs assert `terminated()` after
     /// `num_steps`; we iterate to the fixpoint with this safety bound).
     pub max_global_steps: u64,
-    /// Safety bound on simultaneously tracked configurations.
+    /// Safety bound on simultaneously tracked configurations: global
+    /// configurations on the frontier, and, separately, node
+    /// configurations plus memo entries in the run's state store, which
+    /// keeps everything the run has seen.
     pub max_configs: usize,
     /// Prune symbolically infeasible branches with Fourier–Motzkin.
     pub fm_pruning: bool,
@@ -175,7 +190,8 @@ pub enum ExactError {
         /// Total unresolved probability mass (approximate display).
         mass: String,
     },
-    /// The configuration frontier exceeded [`ExactOptions::max_configs`].
+    /// The configuration frontier, or the run's state store, exceeded
+    /// [`ExactOptions::max_configs`].
     ConfigLimit(usize),
     /// All probability mass was discarded by observations (Z = 0), so the
     /// posterior is undefined.
@@ -263,9 +279,10 @@ const DEADLINE_POLL_STRIDE: usize = 256;
 /// workers keeps every lane busy when chunk costs are uneven.
 const TASKS_PER_WORKER: usize = 4;
 
-/// A weighted set of guarded configurations. Kept as a `Vec`; merging
-/// compresses it through a hash map.
-type Weighted = Vec<(Guard, GlobalConfig, Rat)>;
+/// A weighted set of guarded configurations, as keys into the run's
+/// [`StateStore`]. Kept as a `Vec`; merging compresses it through a hash
+/// map.
+type Weighted = Vec<(Guard, StateKey, Rat)>;
 
 /// Successors produced by expanding a batch of configurations.
 #[derive(Default)]
@@ -283,14 +300,50 @@ impl Expansion {
         self.discarded.extend(part.discarded);
         self.orbit_merges += part.orbit_merges;
     }
+
+    /// Renumbers successor ids after the chunk's overlay was absorbed.
+    fn renumber(&mut self, remap: &Remap) {
+        for (_, key, _) in self.next.iter_mut().chain(&mut self.terminal) {
+            for id in key.ids.iter_mut() {
+                *id = remap.id(*id);
+            }
+        }
+    }
+
+    /// Canonicalizes a successor by symmetry orbit (counting the
+    /// replacement when it changed anything) and files it as terminal or
+    /// live.
+    fn push(
+        &mut self,
+        view: &mut View<'_>,
+        sym: Option<&Symmetry<'_>>,
+        guard: Guard,
+        sched_state: u32,
+        mut ids: Box<[u32]>,
+        mass: Rat,
+    ) {
+        if let Some(sym) = sym {
+            if view.canonicalize(sym, &mut ids) {
+                self.orbit_merges += 1;
+            }
+        }
+        let terminal = view.is_terminal(&ids);
+        let entry = (guard, StateKey { sched_state, ids }, mass);
+        if terminal {
+            self.terminal.push(entry);
+        } else {
+            self.next.push(entry);
+        }
+    }
 }
 
 /// Expands `frontier` over up to `workers` threads and concatenates the
 /// chunk outputs in chunk order, which is exactly the order one sequential
 /// pass would produce. A frontier below [`ExactOptions::par_threshold`] (or
-/// a single worker) is one chunk on the caller's thread, whose output is
-/// taken by value, so nothing is copied; otherwise the frontier is split
-/// into `workers × TASKS_PER_WORKER` chunks.
+/// a single worker) is one chunk on the caller's thread that interns
+/// straight into `store`; otherwise the frontier is split into
+/// `workers × TASKS_PER_WORKER` chunks, each interning into its own
+/// overlay of `store`, and the overlays are absorbed in chunk order.
 ///
 /// Error rule: the error from the earliest failing chunk wins, and it wins
 /// over an interruption. A chunk stops early only when an earlier chunk
@@ -299,27 +352,20 @@ impl Expansion {
 fn expand_frontier(
     model: &Model,
     scheduler: &dyn Scheduler,
-    frontier: &[(Guard, GlobalConfig, Rat)],
+    store: &mut StateStore,
+    frontier: &[(Guard, StateKey, Rat)],
     opts: &ExactOptions,
     workers: usize,
 ) -> Result<Option<Expansion>, ExactError> {
-    let sym = symmetry_for(model, scheduler);
-    let parallel = workers > 1 && frontier.len() >= opts.par_threshold.max(2);
-    let (lanes, chunks) = if parallel {
-        (workers, workers * TASKS_PER_WORKER)
-    } else {
-        (1, 1)
-    };
-    let chunk_len = frontier.len().div_ceil(chunks).max(1);
+    let sym = symmetry_for(model, scheduler).map(Symmetry::new);
+    let sym = sym.as_ref();
     // The lowest chunk that has failed so far (`usize::MAX`: none). An
     // expired deadline stores 0, which stops every later chunk. A stopped
     // chunk returns `Err(None)`.
     let failed = AtomicUsize::new(usize::MAX);
-    let parts = fan_out(lanes, frontier.len().div_ceil(chunk_len), |chunk| {
-        let start = chunk * chunk_len;
-        let end = (start + chunk_len).min(frontier.len());
+    let expand_chunk = |view: &mut View<'_>, chunk: usize, entries: &[(Guard, StateKey, Rat)]| {
         let mut out = Expansion::default();
-        for (i, (g, c, m)) in frontier[start..end].iter().enumerate() {
+        for (i, (g, key, m)) in entries.iter().enumerate() {
             if i % DEADLINE_POLL_STRIDE == 0 {
                 if failed.load(Ordering::Relaxed) < chunk {
                     return Err(None);
@@ -329,27 +375,49 @@ fn expand_frontier(
                     return Err(None);
                 }
             }
-            if let Err(e) = expand_config(model, scheduler, sym, g, c, m, opts, &mut out) {
+            if let Err(e) = expand_config(model, scheduler, sym, view, g, key, m, opts, &mut out) {
                 failed.fetch_min(chunk, Ordering::Relaxed);
                 return Err(Some(e));
             }
         }
         Ok(out)
+    };
+
+    if workers <= 1 || frontier.len() < opts.par_threshold.max(2) {
+        let empty = StateStore::default();
+        let mut view = View::new(&empty, std::mem::take(store));
+        let part = expand_chunk(&mut view, 0, frontier);
+        *store = view.into_own();
+        return match part {
+            Ok(out) => Ok(Some(out)),
+            Err(None) => Ok(None),
+            Err(Some(e)) => Err(e),
+        };
+    }
+
+    let chunk_len = frontier.len().div_ceil(workers * TASKS_PER_WORKER).max(1);
+    let base = &*store;
+    let parts = fan_out(workers, frontier.len().div_ceil(chunk_len), |chunk| {
+        let start = chunk * chunk_len;
+        let end = (start + chunk_len).min(frontier.len());
+        let mut view = View::new(base, base.overlay());
+        let out = expand_chunk(&mut view, chunk, &frontier[start..end])?;
+        Ok((out, view.into_own()))
     });
 
-    let mut merged: Option<Expansion> = None;
+    let mut merged = Expansion::default();
     let mut interrupted = false;
     for part in parts {
         match part {
-            Ok(part) => match &mut merged {
-                None => merged = Some(part),
-                Some(merged) => merged.absorb(part),
-            },
+            Ok((mut part, own)) => {
+                part.renumber(&store.absorb(own));
+                merged.absorb(part);
+            }
             Err(None) => interrupted = true,
             Err(Some(e)) => return Err(e),
         }
     }
-    Ok(if interrupted { None } else { merged })
+    Ok(if interrupted { None } else { Some(merged) })
 }
 
 /// The symmetry group to canonicalize frontier configurations with, when
@@ -369,84 +437,46 @@ pub(crate) fn symmetry_for<'a>(
     model.opt_info().and_then(|i| i.symmetry.as_ref())
 }
 
-/// Canonicalizes a successor configuration by symmetry orbit, counting the
-/// replacement when it changed anything.
-fn canon_config(
-    sym: Option<&bayonet_net::opt::SymmetryGroup>,
-    cfg: &mut GlobalConfig,
-    merges: &mut u64,
-) {
-    if let Some(group) = sym {
-        if group.canonicalize(cfg) {
-            *merges += 1;
-        }
-    }
-}
-
 /// Expands one non-terminal configuration by one global step, appending
-/// successors to `out`.
+/// successors to `out`. A successor copies the id slice and changes the
+/// ids of at most two nodes.
 #[allow(clippy::too_many_arguments)]
 fn expand_config(
     model: &Model,
     scheduler: &dyn Scheduler,
-    sym: Option<&bayonet_net::opt::SymmetryGroup>,
+    sym: Option<&Symmetry<'_>>,
+    view: &mut View<'_>,
     guard: &Guard,
-    cfg: &GlobalConfig,
+    key: &StateKey,
     mass: &Rat,
     opts: &ExactOptions,
     out: &mut Expansion,
 ) -> Result<(), ExactError> {
     let k = model.num_nodes();
-    let enabled = cfg.enabled_actions();
+    let enabled = view.enabled(&key.ids);
     debug_assert!(!enabled.is_empty(), "frontier configs are non-terminal");
-    for (action, p_sched, sched_next) in scheduler.distribution(cfg.sched_state, &enabled, k) {
+    for (action, p_sched, sched_next) in scheduler.distribution(key.sched_state, &enabled, k) {
         let step_mass = mass * &p_sched;
         match action {
             Action::Fwd(i) => {
-                let mut c2 = cfg.clone();
-                c2.sched_state = sched_next;
-                deliver(model, &mut c2, i)?;
-                canon_config(sym, &mut c2, &mut out.orbit_merges);
-                if c2.is_terminal() {
-                    out.terminal.push((guard.clone(), c2, step_mass));
-                } else {
-                    out.next.push((guard.clone(), c2, step_mass));
-                }
+                let mut ids = key.ids.clone();
+                view.forward(model, i, &mut ids)?;
+                out.push(view, sym, guard.clone(), sched_next, ids, step_mass);
             }
             Action::Run(i) => {
-                // G-Run: enumerate every complete handler execution.
-                let branches = enumerate_eval_cached(
-                    guard,
-                    opts.fm_pruning,
-                    opts.feasibility_cache.as_deref(),
-                    |driver| {
-                        let mut node_cfg = cfg.nodes[i].clone();
-                        let outcome = run_handler(model, i, &mut node_cfg, driver)?;
-                        Ok((node_cfg, outcome))
-                    },
-                )?;
-                for b in branches {
-                    let (node_cfg, outcome) = b.result;
+                // G-Run: every complete handler execution, once per
+                // distinct (node, configuration, guard).
+                let branches = view.run_branches(model, opts, i, key.ids[i], guard)?;
+                for b in branches.iter() {
                     let branch_mass = &step_mass * &b.weight;
-                    match outcome {
-                        HandlerOutcome::ObserveFailed => {
-                            // Conditioning: remove this mass from the
-                            // distribution.
-                            out.discarded.push((b.guard, branch_mass));
-                        }
-                        HandlerOutcome::Completed | HandlerOutcome::AssertFailed => {
-                            let mut c2 = cfg.clone();
-                            c2.sched_state = sched_next;
-                            c2.nodes[i] = node_cfg;
-                            if outcome == HandlerOutcome::AssertFailed {
-                                c2.nodes[i].error = true;
-                            }
-                            canon_config(sym, &mut c2, &mut out.orbit_merges);
-                            if c2.is_terminal() {
-                                out.terminal.push((b.guard, c2, branch_mass));
-                            } else {
-                                out.next.push((b.guard, c2, branch_mass));
-                            }
+                    match b.next {
+                        // Conditioning: remove this mass from the
+                        // distribution.
+                        None => out.discarded.push((b.guard.clone(), branch_mass)),
+                        Some(id) => {
+                            let mut ids = key.ids.clone();
+                            ids[i] = id;
+                            out.push(view, sym, b.guard.clone(), sched_next, ids, branch_mass);
                         }
                     }
                 }
@@ -457,13 +487,15 @@ fn expand_config(
 }
 
 /// Merges identical `(guard, config)` entries by summing their masses, then
-/// sorts by the canonical state key so the output order — and everything
-/// derived from it downstream — is independent of both hash-map iteration
-/// order and the parallel schedule that produced `items`.
-fn compress(items: Weighted, stats: &mut EngineStats) -> Weighted {
-    let mut map: HashMap<(Guard, GlobalConfig), Rat> = HashMap::with_capacity(items.len());
-    for (g, c, m) in items {
-        match map.entry((g, c)) {
+/// sorts by the structural `(config, guard)` order so the output order — and
+/// everything derived from it downstream — is independent of hash-map
+/// iteration order, of intern ids and of the parallel schedule that
+/// produced `items`.
+fn compress(store: &StateStore, items: Weighted, stats: &mut EngineStats) -> Weighted {
+    let mut map: FastMap<(Guard, StateKey), Rat> =
+        FastMap::with_capacity_and_hasher(items.len(), Default::default());
+    for (g, key, m) in items {
+        match map.entry((g, key)) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 *e.get_mut() += &m;
                 stats.merge_hits += 1;
@@ -473,79 +505,66 @@ fn compress(items: Weighted, stats: &mut EngineStats) -> Weighted {
             }
         }
     }
-    let mut out: Weighted = map.into_iter().map(|((g, c), m)| (g, c, m)).collect();
-    out.sort_unstable_by(|(g1, c1, _), (g2, c2, _)| (c1, g1).cmp(&(c2, g2)));
+    let mut out: Weighted = map.into_iter().map(|((g, key), m)| (g, key, m)).collect();
+    out.sort_unstable_by(|(g1, k1, _), (g2, k2, _)| {
+        store.cmp_keys(k1, k2).then_with(|| g1.cmp(g2))
+    });
     out
 }
 
 /// The enumeration engine's exploration state between global steps.
 ///
 /// [`analyze`] drives it straight to the fixpoint; the sweep engine
-/// ([`crate::sweep`]) instead snapshots it (it is `Clone`) at the last step
-/// that provably did not depend on a swept parameter, and replays the
-/// remainder once per grid point.
+/// ([`crate::sweep`]) instead keeps it at the last step that provably did
+/// not depend on a swept parameter ([`EnumState::mark`],
+/// [`EnumState::rewind`]) and replays the remainder once per grid point
+/// (it is `Clone`, store included).
 #[derive(Clone)]
 pub(crate) struct EnumState {
+    store: StateStore,
     frontier: Weighted,
     terminal_acc: Weighted,
-    discarded: HashMap<Guard, Rat>,
+    discarded: FastMap<Guard, Rat>,
     pub(crate) stats: EngineStats,
 }
 
+/// An exploration position without its store (see [`EnumState::mark`]).
+pub(crate) struct Mark {
+    frontier: Weighted,
+    terminal_acc: Weighted,
+    discarded: FastMap<Guard, Rat>,
+    stats: EngineStats,
+}
+
 impl EnumState {
-    /// Builds the initial distribution: enumerate the (possibly random)
-    /// state initializers of every node, then the cartesian product.
+    /// Builds the initial distribution (see [`initial_states`]),
+    /// canonicalized by symmetry orbit from the start: orbit masses then
+    /// evolve exactly under the permutation-invariant step kernel, for any
+    /// initial packet placement.
     pub(crate) fn init(
         model: &Model,
         scheduler: &dyn Scheduler,
         opts: &ExactOptions,
     ) -> Result<EnumState, ExactError> {
-        let sym = symmetry_for(model, scheduler);
-        let mut stats = EngineStats::default();
-        let k = model.num_nodes();
-        let mut initial: Vec<(Vec<Vec<Val>>, Rat, Guard)> =
-            vec![(Vec::with_capacity(k), Rat::one(), Guard::top())];
-        for node in 0..k {
-            let prog = &model.programs[node];
-            let node_branches = enumerate_eval_cached(
-                &Guard::top(),
-                opts.fm_pruning,
-                opts.feasibility_cache.as_deref(),
-                |driver| bayonet_net::eval_state_init(model, prog, driver),
-            )?;
-            let mut next = Vec::with_capacity(initial.len() * node_branches.len());
-            for (states, mass, guard) in &initial {
-                for b in &node_branches {
-                    let Some(combined) = guard.conjoin(&b.guard) else {
-                        continue; // contradictory parameter assumptions
-                    };
-                    let mut states = states.clone();
-                    states.push(b.result.clone());
-                    next.push((states, mass * &b.weight, combined));
-                }
-            }
-            initial = next;
+        let sym = symmetry_for(model, scheduler).map(Symmetry::new);
+        let empty = StateStore::default();
+        let mut view = View::new(&empty, StateStore::default());
+        let initial = initial_states(model, opts, &mut |nc| view.intern(nc))?;
+        let mut out = Expansion::default();
+        for (guard, ids, mass) in initial {
+            out.push(&mut view, sym.as_ref(), guard, 0, ids.into(), mass);
         }
-
-        let mut frontier: Weighted = Vec::new();
-        let mut terminal_acc: Weighted = Vec::new();
-        for (states, mass, guard) in initial {
-            let mut cfg = initial_config(model, states)?;
-            // Canonicalize from the initial distribution onward: orbit
-            // masses then evolve exactly under the permutation-invariant
-            // step kernel, for any initial packet placement.
-            canon_config(sym, &mut cfg, &mut stats.orbit_merges);
-            if cfg.is_terminal() {
-                terminal_acc.push((guard, cfg, mass));
-            } else {
-                frontier.push((guard, cfg, mass));
-            }
-        }
-        frontier = compress(frontier, &mut stats);
+        let store = view.into_own();
+        let mut stats = EngineStats {
+            orbit_merges: out.orbit_merges,
+            ..EngineStats::default()
+        };
+        let frontier = compress(&store, out.next, &mut stats);
         Ok(EnumState {
+            store,
             frontier,
-            terminal_acc,
-            discarded: HashMap::new(),
+            terminal_acc: out.terminal,
+            discarded: FastMap::default(),
             stats,
         })
     }
@@ -553,6 +572,33 @@ impl EnumState {
     /// Has the exploration reached its fixpoint (empty frontier)?
     pub(crate) fn done(&self) -> bool {
         self.frontier.is_empty()
+    }
+
+    /// The current position, without the store. The store only grows, so
+    /// [`EnumState::rewind`] can return to this position after later steps
+    /// without the cost of copying the store at every step.
+    pub(crate) fn mark(&self) -> Mark {
+        Mark {
+            frontier: self.frontier.clone(),
+            terminal_acc: self.terminal_acc.clone(),
+            discarded: self.discarded.clone(),
+            stats: self.stats.clone(),
+        }
+    }
+
+    /// Returns to `mark`, taken earlier in this exploration, keeping the
+    /// store but not its handler memo: the steps since may have run
+    /// handlers under bindings the caller is about to change.
+    pub(crate) fn rewind(self, mark: Mark) -> EnumState {
+        let mut store = self.store;
+        store.forget_handler_runs();
+        EnumState {
+            store,
+            frontier: mark.frontier,
+            terminal_acc: mark.terminal_acc,
+            discarded: mark.discarded,
+            stats: mark.stats,
+        }
     }
 
     /// Executes one global step: bound checks, then a (possibly parallel)
@@ -580,7 +626,7 @@ impl EnumState {
             });
         }
         stats.peak_configs = stats.peak_configs.max(self.frontier.len());
-        if self.frontier.len() > opts.max_configs {
+        if self.frontier.len() > opts.max_configs || self.store.entries() > opts.max_configs {
             return Err(ExactError::ConfigLimit(opts.max_configs));
         }
         if opts.deadline.expired() {
@@ -591,21 +637,27 @@ impl EnumState {
         }
 
         stats.expansions += self.frontier.len() as u64;
-        let Some(expansion) = expand_frontier(model, scheduler, &self.frontier, opts, workers)?
+        let Some(expansion) = expand_frontier(
+            model,
+            scheduler,
+            &mut self.store,
+            &self.frontier,
+            opts,
+            workers,
+        )?
         else {
             return Err(ExactError::Interrupted {
-                steps: stats.steps - 1,
-                expansions: stats.expansions,
+                steps: self.stats.steps - 1,
+                expansions: self.stats.expansions,
             });
         };
         self.stats.orbit_merges += expansion.orbit_merges;
-        self.frontier.clear();
         self.terminal_acc.extend(expansion.terminal);
         for (g, m) in expansion.discarded {
             *self.discarded.entry(g).or_insert_with(Rat::zero) += &m;
         }
         self.frontier = if opts.merge_configs {
-            compress(expansion.next, &mut self.stats)
+            compress(&self.store, expansion.next, &mut self.stats)
         } else {
             expansion.next
         };
@@ -613,18 +665,22 @@ impl EnumState {
     }
 
     /// Seals the exploration into an [`Analysis`]: merge and sort terminals,
-    /// sort discarded mass. Feasibility-cache counters are the caller's
-    /// responsibility (they are deltas against a shared cache).
+    /// decode them back to [`GlobalConfig`]s, sort discarded mass.
+    /// Feasibility-cache counters are the caller's responsibility (they are
+    /// deltas against a shared cache).
     pub(crate) fn finish(self) -> Analysis {
         let mut stats = self.stats;
         // Terminal configurations are always merged: soundness does not
         // depend on it, and it keeps the posterior small.
-        let terminals = compress(self.terminal_acc, &mut stats);
+        let terminals = compress(&self.store, self.terminal_acc, &mut stats);
         stats.terminal_configs = terminals.len();
         let mut discarded: Vec<(Guard, Rat)> = self.discarded.into_iter().collect();
         discarded.sort_unstable_by(|(g1, _), (g2, _)| g1.cmp(g2));
         Analysis {
-            terminals: terminals.into_iter().map(|(g, c, m)| (c, g, m)).collect(),
+            terminals: terminals
+                .into_iter()
+                .map(|(g, key, m)| (self.store.decode(&key), g, m))
+                .collect(),
             discarded,
             stats,
         }
@@ -700,8 +756,7 @@ pub fn analyze(
     };
     let engine = match opts.engine {
         // Auto resolves through the static cost model; the choice depends
-        // only on the model, so posteriors (bit-identical across backends
-        // anyway) and statistics stay deterministic.
+        // only on the model, so statistics stay deterministic.
         EngineKind::Auto => crate::planner::choose_exact(model),
         explicit => explicit,
     };
@@ -724,4 +779,47 @@ pub fn analyze(
     analysis.stats.feasibility_hits = hits_after - hits_before;
     analysis.stats.feasibility_misses = misses_after - misses_before;
     Ok(analysis)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bayonet_lang::parse;
+    use bayonet_net::{compile, scheduler_for, NodeConfig};
+
+    /// Id-level canonicalization picks the same orbit representative as the
+    /// configuration-level reference, `SymmetryGroup::canonicalize`, on every
+    /// state an unreduced gossip K4 exploration reaches.
+    #[test]
+    fn store_canonicalization_matches_the_reference() {
+        let source = include_str!("../../../examples/bay/gossip_k4.bay");
+        let plain = compile(&parse(source).unwrap()).unwrap();
+        let optimized = bayonet_net::opt::optimize(&plain);
+        let group = optimized.opt_info().unwrap().symmetry.as_ref().unwrap();
+        let sym = Symmetry::new(group);
+        let scheduler = scheduler_for(&plain);
+        let opts = ExactOptions::default();
+
+        let mut state = EnumState::init(&plain, &*scheduler, &opts).unwrap();
+        let (mut checked, mut moved) = (0, 0);
+        while !state.done() {
+            for (_, key, _) in &state.frontier {
+                let mut reference = state.store.decode(key);
+                let reference_moved = group.canonicalize(&mut reference);
+                let mut view = View::new(&state.store, state.store.overlay());
+                let mut ids = key.ids.clone();
+                assert_eq!(view.canonicalize(&sym, &mut ids), reference_moved);
+                let canonical: Vec<NodeConfig> =
+                    ids.iter().map(|&id| view.node(id).clone()).collect();
+                assert_eq!(canonical, reference.nodes);
+                checked += 1;
+                moved += usize::from(reference_moved);
+            }
+            state.step(&plain, &*scheduler, &opts, 1, 100).unwrap();
+        }
+        assert!(
+            checked > 1000 && moved > 100,
+            "{checked} states, {moved} moved"
+        );
+    }
 }

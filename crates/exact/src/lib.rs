@@ -42,6 +42,7 @@ pub mod planner;
 mod pool;
 mod query;
 mod render;
+mod store;
 mod sweep;
 mod synthesize;
 

@@ -3,8 +3,8 @@
 //! The paper fixes its inference strategy per experiment (exact enumeration,
 //! or sampling with a fixed 1000 particles). This module does what Batz et
 //! al.'s *expected sampling time* analysis does for sampling — estimate the
-//! cost of a run **before** starting it — but for all three of our engines,
-//! from nothing more than the compiled [`Model`]:
+//! cost of a run **before** starting it — but for our engines, from nothing
+//! more than the compiled [`Model`]:
 //!
 //! * **Enumeration** cost is driven by frontier growth. Each global step
 //!   multiplies the frontier by the scheduler's branching (how many enabled
@@ -17,24 +17,19 @@
 //!   expansions are the geometric sum of that growth over the step horizon
 //!   (the program's `num_steps`, else `4·nodes + 2` — the paper's generated
 //!   programs use horizons linear in the node count), and each expansion
-//!   costs a calibrated constant (~10 µs on the reference host).
+//!   costs a calibrated constant (~2 µs on the reference host).
 //!   When the pass pipeline found a topology symmetry group that the
-//!   engines can canonicalize with, the estimate is divided by its order.
+//!   engines can canonicalize with, the estimate is divided by its order,
+//!   and each expansion costs more: every successor is compared against
+//!   its image under each group element, so the per-expansion cost gains
+//!   a term linear in `group order × raw branching`.
 //!   When at most one packet is ever in flight, the scheduler has one
 //!   enabled action per step and does not branch at all.
-//! * **BDD** (knowledge compilation) wins when nodes share a program and
-//!   enumeration does not already exploit that sharing: the diagram
-//!   represents the symmetric product once. The calibrated speedup over
-//!   enumeration is approximately the size of the largest group of nodes
-//!   sharing one [`CompiledProgram`](bayonet_net::CompiledProgram), paid
-//!   for with a constant compilation overhead — so tiny programs route to
-//!   enumeration even when symmetric. Both engines canonicalize by the same
-//!   symmetry orbits, so once a group applies, bdd gets no discount: the
-//!   sharing it would exploit is already gone from enumeration's frontier
-//!   (the `regress` bench measures enumeration 2–3× faster there). Nor
-//!   does it get one under a deterministic or rotor scheduler, which never
-//!   splits mass. The backend packs per-node flags into a `u128`, so models
-//!   with more than 64 nodes are never routed to it.
+//! * **BDD** (knowledge compilation) is never picked by `auto`: with
+//!   interned node configurations, enumeration measured faster on every
+//!   `regress` workload and on the no-symmetry shapes the backend was kept
+//!   for (docs/PERFORMANCE.md, "The state store"). It stays available as an
+//!   explicit engine.
 //! * **SMC** cost is linear: `particles × horizon × nodes` simulation steps.
 //!   Rather than the paper's fixed 1000 particles, the planner picks an
 //!   error-bounded count from the worst-case Bernoulli variance:
@@ -42,10 +37,9 @@
 //!   from `n` particles has standard error at most `0.5/√n`). Symbolic
 //!   parameters rule SMC out — sampling cannot produce piecewise results.
 //!
-//! The planner prefers exact engines (the cheaper of enumeration and BDD)
-//! whenever the estimate fits the budget, falls back to SMC when exact
-//! inference would blow the deadline (or the no-deadline cutover), and
-//! reports [`PlanDecision::Infeasible`] when nothing fits — turning deadline
+//! The planner prefers exact enumeration whenever its estimate fits the
+//! budget, falls back to SMC when exact inference would blow the deadline
+//! (or the no-deadline cutover), and reports [`PlanDecision::Infeasible`] when nothing fits — turning deadline
 //! handling from "interrupt at timeout" into "don't start what can't
 //! finish". The decision is a pure function of the model and config, so
 //! auto-routing is deterministic and safe to bake into cache keys.
@@ -64,20 +58,26 @@ use crate::engine::{symmetry_for, EngineKind};
 /// → effective 1.93; both fit `raw^0.2` within a few percent).
 const ALPHA: f64 = 0.2;
 
+/// Extra cost of one expansion, in nanoseconds, per symmetry-group element
+/// and per unit of raw branching (`sched_branching × handler_branching`):
+/// each successor is compared against its image under every element.
+/// Fitted on optimized gossip, which measured 2.6 µs per expansion on K4
+/// (order 6, raw branching 15), 6.7 µs on K5 (order 24, 27) and 55 µs on
+/// K6 (order 120, 43).
+const NS_PER_ORBIT_IMAGE: f64 = 10.0;
+
 /// Tuning knobs for the cost model. The defaults are calibrated on the
 /// reference host (see `docs/PERFORMANCE.md` § Planner); they only steer
 /// routing and admission — posteriors never depend on them.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Wall-clock cost of one enumeration expansion (calibrated ~10 µs:
-    /// measured 3–40 µs across the corpus, dominated by handler
-    /// re-enumeration and exact arithmetic).
+    /// Wall-clock cost of one enumeration expansion without symmetry
+    /// canonicalization (calibrated 2 µs: the `regress` workloads without
+    /// a symmetry group measured 1.1–2.6 µs per expansion in
+    /// `BENCH_26.json`).
     pub ns_per_expansion: u64,
     /// Wall-clock cost of one node-step of one particle in the SMC engine.
     pub ns_per_particle_step: u64,
-    /// Constant compilation overhead of the BDD backend (store setup,
-    /// variable ordering, first-diagram construction).
-    pub bdd_base_ns: u64,
     /// With no request deadline, exact estimates above this cutover route
     /// to SMC instead (default 60 s — matches the paper's experiments,
     /// which switch to sampling when exact inference stops terminating
@@ -100,9 +100,8 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            ns_per_expansion: 10_000,
+            ns_per_expansion: 2_000,
             ns_per_particle_step: 2_000,
-            bdd_base_ns: 10_000_000,
             smc_cutover_ns: 60_000_000_000,
             target_std_error: 0.015,
             min_particles: 100,
@@ -118,7 +117,8 @@ impl Default for PlannerConfig {
 pub enum PlanEngine {
     /// Parallel exact enumeration ([`EngineKind::Enum`]).
     Enum,
-    /// Knowledge compilation ([`EngineKind::Bdd`]).
+    /// Knowledge compilation ([`EngineKind::Bdd`]). [`plan_model`] never
+    /// returns it; it names an explicitly requested `bdd` run.
     Bdd,
     /// Sequential Monte Carlo with an error-bounded particle count.
     Smc,
@@ -177,7 +177,8 @@ pub struct PlanSignals {
     /// `(sched × handler) ^ 0.2`.
     pub effective_branching: f64,
     /// Size of the largest group of nodes sharing one program `Arc` — the
-    /// symmetry the BDD backend exploits (0 when no sharing).
+    /// symmetry the BDD backend exploits (0 when no sharing). Reported
+    /// only: no estimate reads it.
     pub shared_program_nodes: usize,
     /// Order of the automorphism group both exact engines canonicalize
     /// frontier states with: 1 when the model is unoptimized, the group is
@@ -201,10 +202,6 @@ pub struct Plan {
     pub est_cost_ns: u64,
     /// Estimated enumeration cost, in nanoseconds.
     pub est_enum_ns: u64,
-    /// Estimated BDD cost; `None` when the backend is ineligible (>64
-    /// nodes, or no program sharing that enumeration does not already
-    /// exploit through symmetry canonicalization).
-    pub est_bdd_ns: Option<u64>,
     /// Estimated SMC cost; `None` when symbolic parameters rule it out.
     pub est_smc_ns: Option<u64>,
     /// Error-bounded particle count for the SMC route (present whenever SMC
@@ -271,10 +268,8 @@ impl Plan {
         );
         let _ = writeln!(
             out,
-            "  estimates: enum={} bdd={} smc={}",
+            "  estimates: enum={} smc={}",
             fmt_ns(self.est_enum_ns),
-            self.est_bdd_ns
-                .map_or("ineligible".into(), |ns| fmt_ns(ns).to_string()),
             match (self.est_smc_ns, self.particles) {
                 (Some(ns), Some(p)) => format!("{} ({p} particles)", fmt_ns(ns)),
                 _ => "ineligible (symbolic params)".into(),
@@ -360,28 +355,19 @@ pub fn plan_model(model: &Model, cfg: &PlannerConfig, budget: Option<Duration>) 
     }
     // Orbit canonicalization merges symmetric frontier configurations, so
     // a non-trivial automorphism group divides the explored frontier by up
-    // to its order.
-    let est_expansions = if signals.symmetry_group_order > 1 {
-        (est_expansions / signals.symmetry_group_order as f64).max(1.0)
+    // to its order, and makes each expansion dearer by one image
+    // comparison per group element and successor.
+    let order = signals.symmetry_group_order as f64;
+    let (est_expansions, ns_per_expansion) = if order > 1.0 {
+        let raw_branching = signals.sched_branching * signals.handler_branching;
+        (
+            (est_expansions / order).max(1.0),
+            cfg.ns_per_expansion as f64 + NS_PER_ORBIT_IMAGE * order * raw_branching,
+        )
     } else {
-        est_expansions.max(1.0)
+        (est_expansions.max(1.0), cfg.ns_per_expansion as f64)
     };
-    let est_enum_ns = (est_expansions * cfg.ns_per_expansion as f64).min(1e18) as u64;
-
-    // BDD: eligible under the u128 packing bound and only worth the base
-    // overhead when there is structure sharing that enumeration does not
-    // already exploit. Both engines canonicalize by the same orbits, so a
-    // symmetry group leaves bdd nothing to share; and a scheduler that
-    // never splits mass leaves it nothing to gain (measured 2.5× slower on
-    // `regress`'s deterministic congestion chain).
-    let splits_mass = matches!(model.scheduler, SchedKind::Uniform | SchedKind::Weighted(_));
-    let shared = if signals.symmetry_group_order > 1 || !splits_mass {
-        0
-    } else {
-        signals.shared_program_nodes
-    };
-    let est_bdd_ns =
-        (signals.nodes <= 64 && shared >= 2).then(|| est_enum_ns / shared as u64 + cfg.bdd_base_ns);
+    let est_enum_ns = (est_expansions * ns_per_expansion).min(1e18) as u64;
 
     // SMC: error-bounded particle count from worst-case Bernoulli variance.
     let (est_smc_ns, particles) = if signals.symbolic_params {
@@ -400,29 +386,23 @@ pub fn plan_model(model: &Model, cfg: &PlannerConfig, budget: Option<Duration>) 
         )
     };
 
-    // Route: prefer the cheaper exact engine when it fits the budget (or
-    // the no-deadline cutover); fall back to SMC; reject when nothing fits.
-    let exact_best_ns = est_bdd_ns.map_or(est_enum_ns, |b| b.min(est_enum_ns));
-    let exact_engine = match est_bdd_ns {
-        Some(b) if b < est_enum_ns => PlanEngine::Bdd,
-        _ => PlanEngine::Enum,
-    };
+    // Route: prefer exact enumeration when it fits the budget (or the
+    // no-deadline cutover); fall back to SMC; reject when nothing fits.
     let budget_ns = budget.map(|d| d.as_nanos().min(u64::MAX as u128) as u64);
     let exact_limit = budget_ns.unwrap_or(cfg.smc_cutover_ns);
-    let decision = if exact_best_ns <= exact_limit {
-        PlanDecision::Run(exact_engine)
+    let decision = if est_enum_ns <= exact_limit {
+        PlanDecision::Run(PlanEngine::Enum)
     } else {
         match est_smc_ns {
             Some(smc) if budget_ns.is_none_or(|b| smc <= b) => PlanDecision::Run(PlanEngine::Smc),
             _ => PlanDecision::Infeasible {
-                needed_ns: est_smc_ns.map_or(exact_best_ns, |s| s.min(exact_best_ns)),
+                needed_ns: est_smc_ns.map_or(est_enum_ns, |s| s.min(est_enum_ns)),
             },
         }
     };
     let est_cost_ns = match decision {
-        PlanDecision::Run(PlanEngine::Enum) => est_enum_ns,
-        PlanDecision::Run(PlanEngine::Bdd) => est_bdd_ns.unwrap_or(est_enum_ns),
         PlanDecision::Run(PlanEngine::Smc) => est_smc_ns.unwrap_or(est_enum_ns),
+        PlanDecision::Run(_) => est_enum_ns,
         PlanDecision::Infeasible { needed_ns } => needed_ns,
     };
 
@@ -431,7 +411,6 @@ pub fn plan_model(model: &Model, cfg: &PlannerConfig, budget: Option<Duration>) 
         est_expansions: est_expansions.min(1e18) as u64,
         est_cost_ns,
         est_enum_ns,
-        est_bdd_ns,
         est_smc_ns,
         particles,
         signals,
@@ -442,11 +421,8 @@ pub fn plan_model(model: &Model, cfg: &PlannerConfig, budget: Option<Duration>) 
 /// Resolves [`EngineKind::Auto`] to a concrete exact backend. Used by
 /// [`crate::analyze`] so auto mode works everywhere an `ExactOptions`
 /// travels; the SMC route only exists above this crate (in serve/CLI),
-/// which call [`plan_model`] directly.
-pub fn choose_exact(model: &Model) -> EngineKind {
-    let plan = plan_model(model, &PlannerConfig::default(), None);
-    match plan.engine() {
-        Some(PlanEngine::Bdd) => EngineKind::Bdd,
-        _ => EngineKind::Enum,
-    }
+/// which call [`plan_model`] directly. That is always enumeration: the
+/// planner does not price the diagram backend (see the module docs).
+pub fn choose_exact(_model: &Model) -> EngineKind {
+    EngineKind::Enum
 }

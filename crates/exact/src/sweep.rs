@@ -194,19 +194,10 @@ pub fn sweep(
     };
     let scheduler = scheduler_for(&base);
 
-    // Resolve `Auto`. Only enumeration has shared routes, and sharing one
-    // exploration across the grid beats any per-point engine choice, so a
-    // grid of more than one point always enumerates. A single point plans
-    // exactly as a pointwise run would: on the bound model.
+    // Resolve `Auto` as a pointwise run does: to enumeration, which is
+    // also the only engine with shared routes.
     let engine = match opts.engine {
-        EngineKind::Auto if points.len() > 1 => EngineKind::Enum,
-        EngineKind::Auto => {
-            let mut bound0 = base.clone();
-            if let Some(first) = points.first() {
-                bind_point(&mut bound0, params, first);
-            }
-            crate::planner::choose_exact(&bound0)
-        }
+        EngineKind::Auto => crate::planner::choose_exact(&base),
         explicit => explicit,
     };
     // One feasibility cache for the whole sweep: the probe, a symbolic
@@ -246,7 +237,7 @@ pub fn sweep(
         }
     }
     Ok(match prefix {
-        Some(prefix) => replay_route(&base, &*scheduler, &opts, params, points, prefix),
+        Some(prefix) => replay_route(&base, &*scheduler, &opts, params, points, *prefix),
         None => SweepResult {
             route: SweepRoute::Prefix,
             ..per_point_route(&base, &*scheduler, &opts, params, points)
@@ -392,7 +383,7 @@ fn try_symbolic_route(
 /// that step included, or nothing shareable.
 enum Probe {
     Complete(Analysis),
-    Fork(EnumState, EngineStats),
+    Fork(Box<EnumState>, EngineStats),
     Nothing,
 }
 
@@ -430,16 +421,18 @@ fn probe(
         if state.done() {
             return Probe::Complete(state.finish());
         }
-        let snapshot = state.clone();
+        let mark = state.mark();
         match state.step(&probe, scheduler, opts, workers, bound) {
             // This step consumed a swept binding: its successors are
-            // point-specific. The pre-step snapshot is the shared prefix.
-            Ok(()) if watch.hit() => return Probe::Fork(snapshot, state.stats),
-            Ok(()) => {}
+            // point-specific. The pre-step position is the shared prefix.
             // The erroring step may or may not depend on the grid; keep
             // whatever prefix is provably shared and let each point
             // re-derive its own (identical or not) error.
-            Err(_) if watch.hit() => return Probe::Fork(snapshot, state.stats),
+            Ok(()) | Err(_) if watch.hit() => {
+                let stats = state.stats.clone();
+                return Probe::Fork(Box::new(state.rewind(mark)), stats);
+            }
+            Ok(()) => {}
             Err(_) => return Probe::Nothing,
         }
     }

@@ -7,7 +7,7 @@ use crate::compile::Model;
 use crate::config::{GlobalConfig, NodeConfig};
 use crate::error::SemanticsError;
 use crate::handler::build_init_packet;
-use crate::queue::PktQueue;
+use crate::queue::{PktQueue, QueueEntry};
 use crate::value::Val;
 
 /// Applies the `(Fwd, i)` action (rule G-Fwd): pops the head `(pkt, pt)` of
@@ -20,14 +20,33 @@ use crate::value::Val;
 /// Fails if the output queue is empty (the action was not enabled) or the
 /// departure port has no link.
 pub fn deliver(model: &Model, cfg: &mut GlobalConfig, node: usize) -> Result<bool, SemanticsError> {
-    let (pkt, port) = cfg.nodes[node]
+    let (dst, entry) = depart(model, &mut cfg.nodes[node], node)?;
+    Ok(cfg.nodes[dst].q_in.push_back(entry))
+}
+
+/// The sender's half of `(Fwd, i)` on one node configuration: pops the head
+/// `(pkt, pt)` of `sender`'s output queue (`sender` is node `node`'s local
+/// configuration) and returns the destination node with the entry to
+/// enqueue at its input queue, the packet tagged with its arrival port.
+/// [`deliver`] is this plus the `push_back` at the destination; engines that
+/// store node configurations separately apply the two halves themselves.
+///
+/// # Errors
+///
+/// As [`deliver`].
+pub fn depart(
+    model: &Model,
+    sender: &mut NodeConfig,
+    node: usize,
+) -> Result<(usize, QueueEntry), SemanticsError> {
+    let (pkt, port) = sender
         .q_out
         .pop_front()
         .ok_or(SemanticsError::EmptyQueue { node })?;
     let (dst, dst_port) = model
         .link_dest(node, port)
         .ok_or(SemanticsError::NoLinkOnPort { node, port })?;
-    Ok(cfg.nodes[dst].q_in.push_back((pkt, dst_port)))
+    Ok((dst, (pkt, dst_port)))
 }
 
 /// Builds the initial global configuration from per-node state values

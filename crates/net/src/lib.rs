@@ -65,7 +65,7 @@ pub use config::{Action, GlobalConfig, NodeConfig};
 pub use deadline::{CancelHandle, Deadline};
 pub use error::SemanticsError;
 pub use fsio::{atomic_write, fsync_dir};
-pub use global::{deliver, initial_config};
+pub use global::{deliver, depart, initial_config};
 pub use handler::{
     build_init_packet, compare, eval_query_expr, eval_state_init, run_handler, truth_of,
     ChoiceDriver, HandlerOutcome, NoChoiceDriver,

@@ -69,6 +69,13 @@ impl GroupElem {
             Err(_) => port,
         }
     }
+
+    /// The local configuration node `node`'s configuration `nc` becomes at
+    /// position `node_perm[node]`: queue entry ports relabeled through
+    /// `σ_node`, state and packets unchanged.
+    pub fn relabel_node(&self, node: usize, nc: &NodeConfig) -> NodeConfig {
+        remap_node(nc, self, node)
+    }
 }
 
 /// The automorphism group of a model's topology (always excludes models

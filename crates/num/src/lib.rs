@@ -11,6 +11,9 @@
 //! * [`Rat`] — exact rationals in lowest terms (values, probabilities,
 //!   expectations).
 //!
+//! It also holds [`FastMap`], the FxHash-keyed map both exact engines use
+//! for their hot intern and memo tables.
+//!
 //! # Examples
 //!
 //! ```
@@ -27,8 +30,10 @@
 
 mod bigint;
 mod biguint;
+mod fx;
 mod rat;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::{BigUint, ParseNumError};
+pub use fx::{FastMap, FastSet, FxHasher};
 pub use rat::Rat;

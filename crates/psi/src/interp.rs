@@ -396,8 +396,11 @@ impl Interp {
                     other => Err(type_error("tuple", other)),
                 },
                 LValue::Index(inner, idx_expr) => {
+                    // Indices were collected innermost first, so the inner
+                    // place takes its indices before this one.
+                    let slot = walk(globals, inner, indices)?;
                     let idx = indices(idx_expr)?;
-                    match walk(globals, inner, indices)? {
+                    match slot {
                         PValue::Array(items) => {
                             let len = items.len();
                             items.get_mut(idx).ok_or_else(|| oob(idx, len))

@@ -269,3 +269,46 @@ fn data_dependent_fwd_ports_agree() {
     );
     assert_backends_agree(&m);
 }
+
+/// A curated example, with `P_LOSS` bound when the program declares it.
+fn example(source: &str) -> Model {
+    let mut m = model(source);
+    if m.params.lookup("P_LOSS").is_some() {
+        m.bind_param("P_LOSS", Rat::ratio(1, 4)).unwrap();
+    }
+    m
+}
+
+// The curated examples PSI finishes quickly. `ecmp_costs` and the two
+// gossip examples run for tens of seconds under trace enumeration, so they
+// are left to the engine's own differential suites.
+
+#[test]
+fn example_firewall_nat_agrees() {
+    // Writes the second packet field (`pkt.src`): a nested array place
+    // whose indices must be applied innermost first.
+    assert_backends_agree(&example(include_str!(
+        "../../../examples/bay/firewall_nat.bay"
+    )));
+}
+
+#[test]
+fn example_lossy_link_agrees() {
+    assert_backends_agree(&example(include_str!(
+        "../../../examples/bay/lossy_link.bay"
+    )));
+}
+
+#[test]
+fn example_ttl_triangle_agrees() {
+    assert_backends_agree(&example(include_str!(
+        "../../../examples/bay/ttl_triangle.bay"
+    )));
+}
+
+#[test]
+fn example_fattree_k4_agrees() {
+    assert_backends_agree(&example(include_str!(
+        "../../../examples/bay/fattree_k4.bay"
+    )));
+}

@@ -173,7 +173,7 @@ const FAMILIES: [Family; 48] = [
         "Configuration merges."),
     gauge("bayonet_engine_peak_configs", Scalar(C::EnginePeakConfigs), "Largest frontier seen."),
     counter("bayonet_opt_pass_runs_total", Scalar(C::OptPassRuns),
-        "Model-optimization pass executions."),
+        "Symmetry searches: one per optimized model."),
     counter("bayonet_opt_orbit_states_merged_total", Scalar(C::OptOrbitStatesMerged),
         "Frontier configurations replaced by their symmetry-orbit representative."),
     counter("bayonet_bdd_nodes_total", Scalar(C::BddNodes),

@@ -1811,9 +1811,6 @@ fn infeasible_response(plan: &Plan, needed_ns: u64) -> Response {
         ("est_expansions", Json::Num(plan.est_expansions as f64)),
         ("est_enum_ms", ms(plan.est_enum_ns)),
     ];
-    if let Some(ns) = plan.est_bdd_ns {
-        plan_obj.push(("est_bdd_ms", ms(ns)));
-    }
     if let (Some(ns), Some(particles)) = (plan.est_smc_ns, plan.particles) {
         plan_obj.push(("est_smc_ms", ms(ns)));
         plan_obj.push(("est_smc_particles", Json::Num(particles as f64)));
