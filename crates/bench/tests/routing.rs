@@ -1,5 +1,5 @@
 //! `engine: "auto"` against measurement: wherever the committed `regress`
-//! report (`BENCH_26.json`) shows one exact engine beating the other by at
+//! report (`BENCH_27.json`) shows one exact engine beating the other by at
 //! least [`MARGIN`], the planner must pick that engine. Closer calls are
 //! left to the cost model; the report's `auto_vs_best` column bounds what
 //! they cost.
@@ -16,13 +16,13 @@ use bayonet_net::Model;
 use bayonet_serve::{parse_json, Json};
 
 /// The committed gate baseline.
-const REPORT: &str = include_str!("../../../BENCH_26.json");
+const REPORT: &str = include_str!("../../../BENCH_27.json");
 
 /// A measured win at least this large must be routed to.
 const MARGIN: f64 = 1.25;
 
 fn rows() -> Vec<Json> {
-    let report = parse_json(REPORT).expect("BENCH_26.json is valid JSON");
+    let report = parse_json(REPORT).expect("BENCH_27.json is valid JSON");
     report
         .get("workloads")
         .and_then(Json::as_arr)
@@ -33,7 +33,7 @@ fn rows() -> Vec<Json> {
 fn row<'a>(rows: &'a [Json], name: &str) -> &'a Json {
     rows.iter()
         .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
-        .unwrap_or_else(|| panic!("BENCH_26.json has no `{name}` row"))
+        .unwrap_or_else(|| panic!("BENCH_27.json has no `{name}` row"))
 }
 
 fn phase(row: &Json, key: &str) -> f64 {
@@ -88,7 +88,7 @@ fn auto_picks_the_engine_the_committed_bench_measured_fastest() {
     ));
     assert!(
         decisive > 0,
-        "no row of BENCH_26.json has a decisive winner"
+        "no row of BENCH_27.json has a decisive winner"
     );
 }
 

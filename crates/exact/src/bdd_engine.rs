@@ -31,8 +31,9 @@
 //! The produced [`Analysis`] is **bit-identical** to the enumeration
 //! engine's: identical terminals (same canonical sort), identical discarded
 //! mass per guard, and identical `steps`/`expansions`/`peak_configs`
-//! (diagram paths count exactly the merged configurations enumeration would
-//! track). Exact rational arithmetic is order-insensitive, so regrouping
+//! (each level's diagram paths are counted against every state seen at an
+//! earlier level, so a state counts once, as in enumeration's transition
+//! DAG). Exact rational arithmetic is order-insensitive, so regrouping
 //! sums and products cannot perturb a single bit of the posterior.
 //! `merge_hits` counts diagram-level merges instead of per-configuration
 //! ones and therefore differs; `crates/exact/tests/differential.rs` pins the
@@ -51,7 +52,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 use bayonet_bdd::{NodeRef, Store, BLOCK_BITS};
-use bayonet_num::{FastMap, Rat};
+use bayonet_num::{FastMap, FastSet, Rat};
 use bayonet_symbolic::Guard;
 
 use bayonet_net::{depart, Action, GlobalConfig, Model, NodeConfig, Packet, Scheduler};
@@ -517,6 +518,8 @@ pub(crate) fn analyze_bdd(
     let mut frontier: HashMap<GroupKey, Vec<NodeRef>> = HashMap::new();
     let mut terminal_acc: HashMap<(u32, Guard), Vec<NodeRef>> = HashMap::new();
     let mut discarded: HashMap<Guard, Rat> = HashMap::new();
+    // Every non-terminal state reached so far, per (scheduler state, guard).
+    let mut seen: FastMap<(u32, Guard), FastSet<Vec<u32>>> = FastMap::default();
 
     // Initial distribution: the enumeration engine's, over the same ids.
     let initial = initial_states(model, opts, &mut |nc| ctx.states.intern(nc))?;
@@ -568,7 +571,6 @@ pub(crate) fn analyze_bdd(
                 mass: format!("{:.6}", mass.to_f64()),
             });
         }
-        stats.peak_configs = stats.peak_configs.max(live as usize);
         if live as usize > opts.max_configs || ctx.states.entries() > opts.max_configs {
             return Err(ExactError::ConfigLimit(opts.max_configs));
         }
@@ -578,7 +580,22 @@ pub(crate) fn analyze_bdd(
                 expansions: stats.expansions,
             });
         }
-        stats.expansions += live;
+        // Count as the enumeration engine's transition DAG does: a state is
+        // expanded once, at the first level that reaches it.
+        let mut fresh = 0usize;
+        let mut paths = Vec::new();
+        for (key, d) in &groups {
+            let seen = seen
+                .entry((key.sched_state, key.guard.clone()))
+                .or_default();
+            paths.clear();
+            store.enumerate(*d, &mut paths);
+            for (ids, _) in paths.drain(..) {
+                fresh += usize::from(seen.insert(ids));
+            }
+        }
+        stats.peak_configs = stats.peak_configs.max(fresh);
+        stats.expansions += fresh as u64;
 
         let mut next: HashMap<GroupKey, Vec<NodeRef>> = HashMap::new();
         for (key, root) in groups {

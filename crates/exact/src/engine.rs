@@ -1,5 +1,6 @@
 //! The exact inference engine: exhaustive weighted exploration of the
-//! global transition system with configuration merging.
+//! global transition system, built once as a transition DAG and then
+//! weighed.
 //!
 //! This plays the role PSI plays in the paper's toolchain — an exact
 //! posterior calculator. The global semantics is a Markov chain over
@@ -8,37 +9,54 @@
 //! 30-node networks tractable. Observation failures remove mass, which is
 //! restored by normalizing with the surviving mass `Z` (paper §3.2).
 //!
+//! # Explore once, weigh after
+//!
+//! [`Dag`] splits the run in two phases. Phase 1 ([`Dag::step`]) works
+//! level by level: it gives each distinct `(guard, configuration)` one node,
+//! expands each node once with unit mass, and records its out-edges
+//! (successor node and weight) and discarded branches in flat arrays. A
+//! configuration reached at several depths is expanded once. Phase 2
+//! ([`Dag::finish`]) pushes mass through the DAG in topological order
+//! (Kahn's algorithm), collecting terminal and discarded mass. Exact
+//! rationals make the order of the sums irrelevant, so the posterior equals
+//! step-by-step weighing bit for bit. Nodes Kahn cannot sort lie on or
+//! behind a reachable cycle, which keeps positive mass forever, so they are
+//! reported as [`ExactError::Unterminated`] without walking the step bound;
+//! the step bound itself limits the longest path, and `steps` reports it.
+//!
 //! # State store
 //!
 //! Configurations live in a per-run [`StateStore`](crate::store): every
 //! distinct node configuration is interned once under a dense `u32` id, and
-//! a frontier entry is `(guard, scheduler state, one id per node, mass)`.
+//! a DAG node is `(guard, scheduler state, one id per node)`, stored flat.
 //! A `(Run, i)` successor copies the id slice and replaces one id, from
 //! handler branches memoized per `(node, id, guard)`; a `(Fwd, i)` successor
 //! replaces at most two, from a memoized pop and push. Merging hashes ids,
 //! not configurations, and symmetry relabels ids through a memo. The store
-//! is dropped with the run; [`EnumState::finish`] decodes the terminals
-//! back into [`GlobalConfig`]s, so [`Analysis`] is unchanged.
+//! is dropped with the run; [`Dag::finish`] decodes the terminals back into
+//! [`GlobalConfig`]s, so [`Analysis`] is unchanged.
 //!
 //! # Parallel expansion and determinism
 //!
-//! Expanding one configuration is independent of every other, so each step
-//! cuts a large frontier into chunks and hands them to
-//! [`crate::pool::fan_out`]: every worker lane takes the next unclaimed
-//! chunk from one shared counter, and the chunk outputs come back in chunk
-//! order. Each chunk interns into its own overlay of the store, absorbed in
-//! chunk order after the step. A single-threaded step is the same code with
-//! one chunk on one lane, interning straight into the store. Intern ids
-//! depend on the schedule, so nothing is ordered by id: to make the
-//! *results bit-for-bit reproducible regardless of schedule*, every merge
-//! ([`compress`]) sorts its output by the structural `(GlobalConfig,
-//! Guard)` order, comparing equal ids without looking at the
-//! configurations. A single-threaded run and an 8-thread run therefore
-//! produce identical [`Analysis`] values (identical terminals, identical
-//! statistics apart from the feasibility-cache counters) and report the
-//! same error, which `crates/exact/tests/differential.rs` locks down.
+//! Expanding one state is independent of every other, so each level is cut
+//! into chunks and handed to [`crate::pool::fan_out`]: every worker lane
+//! takes the next unclaimed chunk from one shared counter, and the chunk
+//! outputs come back in chunk order. Each chunk interns into its own
+//! overlay of the store, absorbed in chunk order after the level. A
+//! single-threaded level is the same code with one chunk on one lane,
+//! interning straight into the store. Successors are then resolved to
+//! nodes sequentially, in that order, so node numbering and every count
+//! are the same at any thread count; intern ids depend on the schedule, so
+//! nothing is ordered by id. Terminals are sorted by the structural
+//! `(GlobalConfig, Guard)` order ([`compress`]), comparing equal ids
+//! without looking at the configurations. A single-threaded run and an
+//! 8-thread run therefore produce identical [`Analysis`] values (identical
+//! terminals, identical statistics apart from the feasibility-cache
+//! counters) and report the same error, which
+//! `crates/exact/tests/differential.rs` locks down.
 
 use std::fmt;
+use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -147,13 +165,17 @@ impl Default for ExactOptions {
 /// aggregates) and never in pinned output.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
-    /// Global steps executed (depth of the exploration).
+    /// Global steps the longest trace takes (the longest path through the
+    /// transition DAG).
     pub steps: u64,
-    /// Configuration expansions performed.
+    /// Configuration expansions performed: each distinct non-terminal state
+    /// is expanded once.
     pub expansions: u64,
-    /// Peak number of simultaneously tracked configurations.
+    /// The widest exploration level: the most states first reached at one
+    /// depth.
     pub peak_configs: usize,
-    /// Number of times a successor merged into an existing configuration.
+    /// Number of times a successor (or initial state) landed on a state
+    /// already reached.
     pub merge_hits: u64,
     /// Number of distinct terminal configurations.
     pub terminal_configs: usize,
@@ -272,90 +294,285 @@ impl Analysis {
     }
 }
 
-/// How many configuration expansions to run between deadline polls.
+/// How many configuration expansions (or, when weighing, DAG nodes) to
+/// process between deadline polls.
 const DEADLINE_POLL_STRIDE: usize = 256;
 
 /// Target number of frontier chunks per parallel worker. More chunks than
 /// workers keeps every lane busy when chunk costs are uneven.
 const TASKS_PER_WORKER: usize = 4;
 
-/// A weighted set of guarded configurations, as keys into the run's
-/// [`StateStore`]. Kept as a `Vec`; merging compresses it through a hash
-/// map.
-type Weighted = Vec<(Guard, StateKey, Rat)>;
+/// Marks an empty slot of [`NodeTable`]'s index.
+const EMPTY: u32 = u32::MAX;
 
-/// Successors produced by expanding a batch of configurations.
-#[derive(Default)]
+/// What the DAG keeps per state besides its ids.
+#[derive(Clone, Copy)]
+struct NodeMeta {
+    hash: u64,
+    sched: u32,
+    /// Index into [`NodeTable::guards`].
+    guard: u32,
+    terminal: bool,
+}
+
+/// The DAG's states: one node per distinct `(guard, scheduler state, ids)`,
+/// numbered in discovery order. Keys are stored flat, `width` ids per node,
+/// and the index is an open-addressing table of node numbers that hashes
+/// and compares through those flat keys, so each key is stored once.
+#[derive(Clone, Default)]
+struct NodeTable {
+    width: usize,
+    /// Whether successors merge into existing nodes (see
+    /// [`ExactOptions::merge_configs`]); without merging nothing is indexed.
+    merge: bool,
+    ids: Vec<u32>,
+    meta: Vec<NodeMeta>,
+    /// Guards are few per run; nodes store an index into this list.
+    guards: Vec<Guard>,
+    guard_index: FastMap<Guard, u32>,
+    /// Open-addressing index (linear probing, power-of-two length).
+    slots: Vec<u32>,
+}
+
+/// Nodes the table has room for before its first reallocation.
+const INITIAL_NODES: usize = 64;
+
+impl NodeTable {
+    fn new(width: usize, merge: bool) -> NodeTable {
+        NodeTable {
+            width,
+            merge,
+            ids: Vec::with_capacity(INITIAL_NODES * width),
+            meta: Vec::with_capacity(INITIAL_NODES),
+            ..NodeTable::default()
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.meta.len()
+    }
+
+    fn ids(&self, v: u32) -> &[u32] {
+        let start = v as usize * self.width;
+        &self.ids[start..start + self.width]
+    }
+
+    fn sched(&self, v: u32) -> u32 {
+        self.meta[v as usize].sched
+    }
+
+    fn terminal(&self, v: u32) -> bool {
+        self.meta[v as usize].terminal
+    }
+
+    fn guard(&self, v: u32) -> &Guard {
+        &self.guards[self.meta[v as usize].guard as usize]
+    }
+
+    fn key(&self, v: u32) -> StateKey {
+        StateKey {
+            sched_state: self.sched(v),
+            ids: self.ids(v).into(),
+        }
+    }
+
+    /// The index of `guard` in [`NodeTable::guards`], added on first sight.
+    /// Successors mostly keep the guard of the state before them, so the
+    /// most recent guard is tried first.
+    fn guard_id(&mut self, guard: &Guard) -> u32 {
+        if let Some(last) = self.meta.last() {
+            if self.guards[last.guard as usize] == *guard {
+                return last.guard;
+            }
+        }
+        if let Some(&g) = self.guard_index.get(guard) {
+            return g;
+        }
+        let g = self.guards.len() as u32;
+        self.guards.push(guard.clone());
+        self.guard_index.insert(guard.clone(), g);
+        g
+    }
+
+    fn slot_of(&self, hash: u64) -> usize {
+        // Fx mixes into the high bits; take the index from there.
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The node for `(guard, sched, ids)`, added on first sight. Returns
+    /// the node and whether it is new.
+    fn find_or_insert(
+        &mut self,
+        guard: &Guard,
+        sched: u32,
+        ids: &[u32],
+        terminal: bool,
+    ) -> (u32, bool) {
+        let guard = self.guard_id(guard);
+        let mut meta = NodeMeta {
+            hash: 0,
+            sched,
+            guard,
+            terminal,
+        };
+        if !self.merge {
+            return (self.push(meta, ids), true);
+        }
+        let mut h = bayonet_num::FxHasher::default();
+        h.write_u32(guard);
+        h.write_u32(sched);
+        for &id in ids {
+            h.write_u32(id);
+        }
+        meta.hash = h.finish();
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.reindex((self.slots.len() * 2).max(2 * INITIAL_NODES));
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.slot_of(meta.hash);
+        loop {
+            let v = self.slots[slot];
+            if v == EMPTY {
+                let v = self.push(meta, ids);
+                self.slots[slot] = v;
+                return (v, true);
+            }
+            let m = &self.meta[v as usize];
+            if m.hash == meta.hash && m.sched == sched && m.guard == guard && self.ids(v) == ids {
+                return (v, false);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn push(&mut self, meta: NodeMeta, ids: &[u32]) -> u32 {
+        let v = u32::try_from(self.len()).expect("fewer than 2^32 states");
+        self.ids.extend_from_slice(ids);
+        self.meta.push(meta);
+        v
+    }
+
+    /// Rebuilds the index with `len` slots.
+    fn reindex(&mut self, len: usize) {
+        self.slots = vec![EMPTY; len];
+        if !self.merge {
+            return;
+        }
+        let mask = len - 1;
+        for (v, m) in self.meta.iter().enumerate() {
+            let mut slot = self.slot_of(m.hash);
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = v as u32;
+        }
+    }
+
+    /// Drops every node numbered `n` or above.
+    fn truncate(&mut self, n: usize) {
+        self.ids.truncate(n * self.width);
+        self.meta.truncate(n);
+        self.reindex(self.slots.len());
+    }
+}
+
+/// One successor of an expanded state, before it is resolved to a node.
+#[derive(Clone)]
+struct Succ {
+    guard: Guard,
+    sched: u32,
+    weight: Rat,
+    terminal: bool,
+}
+
+/// The out-edges produced by expanding a run of states: per state, how many
+/// successors and discarded branches it has, then those in order. The
+/// successors' ids are stored flat, `width` per successor.
+#[derive(Clone, Default)]
 struct Expansion {
-    next: Weighted,
-    terminal: Weighted,
-    discarded: Vec<(Guard, Rat)>,
+    counts: Vec<(u32, u32)>,
+    succ: Vec<Succ>,
+    succ_ids: Vec<u32>,
+    discards: Vec<(Guard, Rat)>,
     orbit_merges: u64,
 }
 
 impl Expansion {
     fn absorb(&mut self, part: Expansion) {
-        self.next.extend(part.next);
-        self.terminal.extend(part.terminal);
-        self.discarded.extend(part.discarded);
+        self.counts.extend(part.counts);
+        self.succ.extend(part.succ);
+        self.succ_ids.extend(part.succ_ids);
+        self.discards.extend(part.discards);
         self.orbit_merges += part.orbit_merges;
+    }
+
+    /// Empties the buffers, keeping their capacity for the next level.
+    fn clear(&mut self) {
+        self.counts.clear();
+        self.succ.clear();
+        self.succ_ids.clear();
+        self.discards.clear();
+        self.orbit_merges = 0;
     }
 
     /// Renumbers successor ids after the chunk's overlay was absorbed.
     fn renumber(&mut self, remap: &Remap) {
-        for (_, key, _) in self.next.iter_mut().chain(&mut self.terminal) {
-            for id in key.ids.iter_mut() {
-                *id = remap.id(*id);
-            }
+        for id in &mut self.succ_ids {
+            *id = remap.id(*id);
         }
     }
 
-    /// Canonicalizes a successor by symmetry orbit (counting the
-    /// replacement when it changed anything) and files it as terminal or
-    /// live.
+    /// Canonicalizes the successor whose ids were just appended by symmetry
+    /// orbit (counting the replacement when it changed anything) and files
+    /// it.
     fn push(
         &mut self,
         view: &mut View<'_>,
         sym: Option<&Symmetry<'_>>,
         guard: Guard,
-        sched_state: u32,
-        mut ids: Box<[u32]>,
-        mass: Rat,
+        sched: u32,
+        weight: Rat,
+        start: usize,
     ) {
+        let ids = &mut self.succ_ids[start..];
         if let Some(sym) = sym {
-            if view.canonicalize(sym, &mut ids) {
+            if view.canonicalize(sym, ids) {
                 self.orbit_merges += 1;
             }
         }
-        let terminal = view.is_terminal(&ids);
-        let entry = (guard, StateKey { sched_state, ids }, mass);
-        if terminal {
-            self.terminal.push(entry);
-        } else {
-            self.next.push(entry);
-        }
+        let terminal = view.is_terminal(ids);
+        self.succ.push(Succ {
+            guard,
+            sched,
+            weight,
+            terminal,
+        });
     }
 }
 
-/// Expands `frontier` over up to `workers` threads and concatenates the
-/// chunk outputs in chunk order, which is exactly the order one sequential
-/// pass would produce. A frontier below [`ExactOptions::par_threshold`] (or
-/// a single worker) is one chunk on the caller's thread that interns
-/// straight into `store`; otherwise the frontier is split into
-/// `workers × TASKS_PER_WORKER` chunks, each interning into its own
-/// overlay of `store`, and the overlays are absorbed in chunk order.
+/// Expands the states `level` over up to `workers` threads and concatenates
+/// the chunk outputs in chunk order, which is exactly the order one
+/// sequential pass would produce. A level below
+/// [`ExactOptions::par_threshold`] (or a single worker) is one chunk on the
+/// caller's thread that interns straight into `store` and writes into the
+/// emptied buffers of `scratch`; otherwise the level
+/// is split into `workers × TASKS_PER_WORKER` chunks, each interning into
+/// its own overlay of `store`, and the overlays are absorbed in chunk order.
 ///
 /// Error rule: the error from the earliest failing chunk wins, and it wins
 /// over an interruption. A chunk stops early only when an earlier chunk
 /// has already failed, so that error is the one a sequential pass would
 /// hit first. An expired deadline stops every chunk and returns `Ok(None)`.
+#[allow(clippy::too_many_arguments)]
 fn expand_frontier(
     model: &Model,
     scheduler: &dyn Scheduler,
     store: &mut StateStore,
-    frontier: &[(Guard, StateKey, Rat)],
+    nodes: &NodeTable,
+    level: &[u32],
     opts: &ExactOptions,
     workers: usize,
+    scratch: Expansion,
 ) -> Result<Option<Expansion>, ExactError> {
     let sym = symmetry_for(model, scheduler).map(Symmetry::new);
     let sym = sym.as_ref();
@@ -363,9 +580,8 @@ fn expand_frontier(
     // expired deadline stores 0, which stops every later chunk. A stopped
     // chunk returns `Err(None)`.
     let failed = AtomicUsize::new(usize::MAX);
-    let expand_chunk = |view: &mut View<'_>, chunk: usize, entries: &[(Guard, StateKey, Rat)]| {
-        let mut out = Expansion::default();
-        for (i, (g, key, m)) in entries.iter().enumerate() {
+    let expand_chunk = |view: &mut View<'_>, chunk: usize, entries: &[u32], mut out: Expansion| {
+        for (i, &v) in entries.iter().enumerate() {
             if i % DEADLINE_POLL_STRIDE == 0 {
                 if failed.load(Ordering::Relaxed) < chunk {
                     return Err(None);
@@ -375,18 +591,25 @@ fn expand_frontier(
                     return Err(None);
                 }
             }
-            if let Err(e) = expand_config(model, scheduler, sym, view, g, key, m, opts, &mut out) {
-                failed.fetch_min(chunk, Ordering::Relaxed);
-                return Err(Some(e));
+            match expand_config(model, scheduler, sym, view, nodes, v, opts, &mut out) {
+                Ok(()) => {}
+                Err(ExactError::Interrupted { .. }) => {
+                    failed.store(0, Ordering::Relaxed);
+                    return Err(None);
+                }
+                Err(e) => {
+                    failed.fetch_min(chunk, Ordering::Relaxed);
+                    return Err(Some(e));
+                }
             }
         }
         Ok(out)
     };
 
-    if workers <= 1 || frontier.len() < opts.par_threshold.max(2) {
+    if workers <= 1 || level.len() < opts.par_threshold.max(2) {
         let empty = StateStore::default();
         let mut view = View::new(&empty, std::mem::take(store));
-        let part = expand_chunk(&mut view, 0, frontier);
+        let part = expand_chunk(&mut view, 0, level, scratch);
         *store = view.into_own();
         return match part {
             Ok(out) => Ok(Some(out)),
@@ -395,13 +618,13 @@ fn expand_frontier(
         };
     }
 
-    let chunk_len = frontier.len().div_ceil(workers * TASKS_PER_WORKER).max(1);
+    let chunk_len = level.len().div_ceil(workers * TASKS_PER_WORKER).max(1);
     let base = &*store;
-    let parts = fan_out(workers, frontier.len().div_ceil(chunk_len), |chunk| {
+    let parts = fan_out(workers, level.len().div_ceil(chunk_len), |chunk| {
         let start = chunk * chunk_len;
-        let end = (start + chunk_len).min(frontier.len());
+        let end = (start + chunk_len).min(level.len());
         let mut view = View::new(base, base.overlay());
-        let out = expand_chunk(&mut view, chunk, &frontier[start..end])?;
+        let out = expand_chunk(&mut view, chunk, &level[start..end], Expansion::default())?;
         Ok((out, view.into_own()))
     });
 
@@ -437,53 +660,71 @@ pub(crate) fn symmetry_for<'a>(
     model.opt_info().and_then(|i| i.symmetry.as_ref())
 }
 
-/// Expands one non-terminal configuration by one global step, appending
-/// successors to `out`. A successor copies the id slice and changes the
-/// ids of at most two nodes.
+/// Expands state `v` by one global step with unit mass, appending its
+/// successors and discarded branches to `out`. A successor copies the id
+/// slice and changes the ids of at most two nodes.
 #[allow(clippy::too_many_arguments)]
 fn expand_config(
     model: &Model,
     scheduler: &dyn Scheduler,
     sym: Option<&Symmetry<'_>>,
     view: &mut View<'_>,
-    guard: &Guard,
-    key: &StateKey,
-    mass: &Rat,
+    nodes: &NodeTable,
+    v: u32,
     opts: &ExactOptions,
     out: &mut Expansion,
 ) -> Result<(), ExactError> {
     let k = model.num_nodes();
-    let enabled = view.enabled(&key.ids);
-    debug_assert!(!enabled.is_empty(), "frontier configs are non-terminal");
-    for (action, p_sched, sched_next) in scheduler.distribution(key.sched_state, &enabled, k) {
-        let step_mass = mass * &p_sched;
+    let (ids, guard) = (nodes.ids(v), nodes.guard(v));
+    let (succ0, disc0) = (out.succ.len(), out.discards.len());
+    let enabled = view.enabled(ids);
+    debug_assert!(!enabled.is_empty(), "expanded states are non-terminal");
+    let sched_state = nodes.sched(v);
+    for (action, p_sched, sched_next) in scheduler.distribution(sched_state, &enabled, k) {
         match action {
             Action::Fwd(i) => {
-                let mut ids = key.ids.clone();
-                view.forward(model, i, &mut ids)?;
-                out.push(view, sym, guard.clone(), sched_next, ids, step_mass);
+                let start = out.succ_ids.len();
+                out.succ_ids.extend_from_slice(ids);
+                view.forward(model, i, &mut out.succ_ids[start..])?;
+                out.push(view, sym, guard.clone(), sched_next, p_sched, start);
             }
             Action::Run(i) => {
                 // G-Run: every complete handler execution, once per
                 // distinct (node, configuration, guard).
-                let branches = view.run_branches(model, opts, i, key.ids[i], guard)?;
+                let branches = view.run_branches(model, opts, i, ids[i], guard)?;
                 for b in branches.iter() {
-                    let branch_mass = &step_mass * &b.weight;
+                    let weight = &p_sched * &b.weight;
                     match b.next {
-                        // Conditioning: remove this mass from the
-                        // distribution.
-                        None => out.discarded.push((b.guard.clone(), branch_mass)),
+                        // Conditioning: this mass leaves the distribution.
+                        None => out.discards.push((b.guard.clone(), weight)),
                         Some(id) => {
-                            let mut ids = key.ids.clone();
-                            ids[i] = id;
-                            out.push(view, sym, b.guard.clone(), sched_next, ids, branch_mass);
+                            let start = out.succ_ids.len();
+                            out.succ_ids.extend_from_slice(ids);
+                            out.succ_ids[start + i] = id;
+                            out.push(view, sym, b.guard.clone(), sched_next, weight, start);
                         }
                     }
                 }
             }
         }
     }
+    out.counts.push((
+        (out.succ.len() - succ0) as u32,
+        (out.discards.len() - disc0) as u32,
+    ));
     Ok(())
+}
+
+/// `acc += m · w`, skipping the arithmetic that an empty accumulator or a
+/// unit weight makes trivial: masses grow into multi-limb rationals, whose
+/// every operation normalizes by a gcd.
+fn add_to(acc: &mut Rat, m: &Rat, w: &Rat) {
+    let c = if w.is_one() { m.clone() } else { m * w };
+    if acc.is_zero() {
+        *acc = c;
+    } else {
+        *acc += &c;
+    }
 }
 
 /// Merges identical `(guard, config)` entries by summing their masses, then
@@ -491,7 +732,11 @@ fn expand_config(
 /// everything derived from it downstream — is independent of hash-map
 /// iteration order, of intern ids and of the parallel schedule that
 /// produced `items`.
-fn compress(store: &StateStore, items: Weighted, stats: &mut EngineStats) -> Weighted {
+fn compress(
+    store: &StateStore,
+    items: Vec<(Guard, StateKey, Rat)>,
+    stats: &mut EngineStats,
+) -> Vec<(Guard, StateKey, Rat)> {
     let mut map: FastMap<(Guard, StateKey), Rat> =
         FastMap::with_capacity_and_hasher(items.len(), Default::default());
     for (g, key, m) in items {
@@ -505,38 +750,65 @@ fn compress(store: &StateStore, items: Weighted, stats: &mut EngineStats) -> Wei
             }
         }
     }
-    let mut out: Weighted = map.into_iter().map(|((g, key), m)| (g, key, m)).collect();
+    let mut out: Vec<_> = map.into_iter().map(|((g, key), m)| (g, key, m)).collect();
     out.sort_unstable_by(|(g1, k1, _), (g2, k2, _)| {
         store.cmp_keys(k1, k2).then_with(|| g1.cmp(g2))
     });
     out
 }
 
-/// The enumeration engine's exploration state between global steps.
+/// The enumeration engine's exploration: the transition DAG built so far
+/// (phase 1), weighed by [`Dag::finish`] (phase 2).
 ///
-/// [`analyze`] drives it straight to the fixpoint; the sweep engine
-/// ([`crate::sweep`]) instead keeps it at the last step that provably did
-/// not depend on a swept parameter ([`EnumState::mark`],
-/// [`EnumState::rewind`]) and replays the remainder once per grid point
-/// (it is `Clone`, store included).
+/// Phase 1 works level by level. Level 0 is the initial states; each
+/// [`Dag::step`] expands the states first discovered one level earlier,
+/// once each and with unit mass, recording their out-edges (successor node
+/// and weight) and discarded branches. Every state the run ever reaches is
+/// a node, so expanding a level in node order also closes the nodes in
+/// node order, and out-edges live in one flat array indexed by `ends`.
+///
+/// [`analyze`] drives it straight to the end of phase 1; the sweep engine
+/// ([`crate::sweep`]) instead keeps it at the last level that provably did
+/// not depend on a swept parameter ([`Dag::mark`], [`Dag::rewind`]) and
+/// replays the remainder once per grid point (it is `Clone`, store
+/// included).
 #[derive(Clone)]
-pub(crate) struct EnumState {
+pub(crate) struct Dag {
     store: StateStore,
-    frontier: Weighted,
-    terminal_acc: Weighted,
-    discarded: FastMap<Guard, Rat>,
+    nodes: NodeTable,
+    /// Initial states and their masses (a state may appear more than once).
+    initial: Vec<(u32, Rat)>,
+    /// `(edge end, discard end)` per closed node: node `v`'s out-edges are
+    /// `edges[ends[v - 1].0..ends[v].0]`, likewise its discarded branches.
+    /// A node is closed once its level has been expanded.
+    ends: Vec<(u32, u32)>,
+    /// Out-edges: successor node and an index into `weights`.
+    edges: Vec<(u32, u32)>,
+    /// Distinct edge weights: a run's edges share few of them (scheduler
+    /// probabilities times branch probabilities).
+    weights: Vec<Rat>,
+    weight_index: FastMap<Rat, u32>,
+    discards: Vec<(Guard, Rat)>,
+    /// The non-terminal states the next step expands.
+    level: Vec<u32>,
+    /// Set when a level reached the step bound unexpanded.
+    cut: bool,
+    /// Expansion buffers reused from level to level.
+    scratch: Expansion,
     pub(crate) stats: EngineStats,
 }
 
-/// An exploration position without its store (see [`EnumState::mark`]).
+/// An exploration position without its store (see [`Dag::mark`]).
 pub(crate) struct Mark {
-    frontier: Weighted,
-    terminal_acc: Weighted,
-    discarded: FastMap<Guard, Rat>,
+    nodes: usize,
+    ends: usize,
+    edges: usize,
+    discards: usize,
+    level: Vec<u32>,
     stats: EngineStats,
 }
 
-impl EnumState {
+impl Dag {
     /// Builds the initial distribution (see [`initial_states`]),
     /// canonicalized by symmetry orbit from the start: orbit masses then
     /// evolve exactly under the permutation-invariant step kernel, for any
@@ -545,66 +817,99 @@ impl EnumState {
         model: &Model,
         scheduler: &dyn Scheduler,
         opts: &ExactOptions,
-    ) -> Result<EnumState, ExactError> {
+    ) -> Result<Dag, ExactError> {
         let sym = symmetry_for(model, scheduler).map(Symmetry::new);
         let empty = StateStore::default();
         let mut view = View::new(&empty, StateStore::default());
         let initial = initial_states(model, opts, &mut |nc| view.intern(nc))?;
         let mut out = Expansion::default();
         for (guard, ids, mass) in initial {
-            out.push(&mut view, sym.as_ref(), guard, 0, ids.into(), mass);
+            let start = out.succ_ids.len();
+            out.succ_ids.extend(ids);
+            out.push(&mut view, sym.as_ref(), guard, 0, mass, start);
         }
-        let store = view.into_own();
-        let mut stats = EngineStats {
-            orbit_merges: out.orbit_merges,
-            ..EngineStats::default()
+        let mut dag = Dag {
+            store: view.into_own(),
+            nodes: NodeTable::new(model.num_nodes(), opts.merge_configs),
+            initial: Vec::with_capacity(out.succ.len()),
+            ends: Vec::new(),
+            edges: Vec::new(),
+            weights: Vec::new(),
+            weight_index: FastMap::default(),
+            discards: Vec::new(),
+            level: Vec::new(),
+            cut: false,
+            scratch: Expansion::default(),
+            stats: EngineStats {
+                orbit_merges: out.orbit_merges,
+                ..EngineStats::default()
+            },
         };
-        let frontier = compress(&store, out.next, &mut stats);
-        Ok(EnumState {
-            store,
-            frontier,
-            terminal_acc: out.terminal,
-            discarded: FastMap::default(),
-            stats,
-        })
+        let width = dag.nodes.width;
+        for (s, ids) in out.succ.into_iter().zip(out.succ_ids.chunks(width.max(1))) {
+            let v = dag.resolve(&s, ids);
+            dag.initial.push((v, s.weight));
+        }
+        dag.stats.peak_configs = dag.level.len();
+        Ok(dag)
     }
 
-    /// Has the exploration reached its fixpoint (empty frontier)?
+    /// The node for a successor, added (and queued for the next level, when
+    /// non-terminal) on first sight; a repeat counts as a merge hit.
+    fn resolve(&mut self, s: &Succ, ids: &[u32]) -> u32 {
+        let (v, new) = self
+            .nodes
+            .find_or_insert(&s.guard, s.sched, ids, s.terminal);
+        if !new {
+            self.stats.merge_hits += 1;
+        } else if !s.terminal {
+            self.level.push(v);
+        }
+        v
+    }
+
+    /// Has phase 1 finished: nothing left to expand, or the step bound cut
+    /// it short?
     pub(crate) fn done(&self) -> bool {
-        self.frontier.is_empty()
+        self.level.is_empty() || self.cut
     }
 
     /// The current position, without the store. The store only grows, so
-    /// [`EnumState::rewind`] can return to this position after later steps
+    /// [`Dag::rewind`] can return to this position after later steps
     /// without the cost of copying the store at every step.
     pub(crate) fn mark(&self) -> Mark {
         Mark {
-            frontier: self.frontier.clone(),
-            terminal_acc: self.terminal_acc.clone(),
-            discarded: self.discarded.clone(),
+            nodes: self.nodes.len(),
+            ends: self.ends.len(),
+            edges: self.edges.len(),
+            discards: self.discards.len(),
+            level: self.level.clone(),
             stats: self.stats.clone(),
         }
     }
 
-    /// Returns to `mark`, taken earlier in this exploration, keeping the
-    /// store but not its handler memo: the steps since may have run
-    /// handlers under bindings the caller is about to change.
-    pub(crate) fn rewind(self, mark: Mark) -> EnumState {
-        let mut store = self.store;
-        store.forget_handler_runs();
-        EnumState {
-            store,
-            frontier: mark.frontier,
-            terminal_acc: mark.terminal_acc,
-            discarded: mark.discarded,
-            stats: mark.stats,
-        }
+    /// Returns to `mark`, taken earlier in this exploration: drops the
+    /// nodes, edges and index entries added since, and keeps the store but
+    /// not its handler memo, since the steps since may have run handlers
+    /// under bindings the caller is about to change.
+    pub(crate) fn rewind(mut self, mark: Mark) -> Dag {
+        self.store.forget_handler_runs();
+        self.nodes.truncate(mark.nodes);
+        self.ends.truncate(mark.ends);
+        self.edges.truncate(mark.edges);
+        self.discards.truncate(mark.discards);
+        self.level = mark.level;
+        self.cut = false;
+        self.stats = mark.stats;
+        self
     }
 
-    /// Executes one global step: bound checks, then a (possibly parallel)
-    /// expansion of the whole frontier, then merging.
+    /// Phase 1, one level: bound checks, then a (possibly parallel)
+    /// expansion of the level's states, then resolving their successors to
+    /// nodes in order. A level at the step bound is not expanded; it stays
+    /// unresolved and [`Dag::finish`] reports it.
     ///
-    /// Callers must not invoke this once [`EnumState::done`] holds.
+    /// Callers must not invoke this once [`Dag::done`] holds.
     pub(crate) fn step(
         &mut self,
         model: &Model,
@@ -613,37 +918,31 @@ impl EnumState {
         workers: usize,
         step_bound: u64,
     ) -> Result<(), ExactError> {
-        let stats = &mut self.stats;
-        stats.steps += 1;
-        if stats.steps > step_bound {
-            let mass: Rat = self
-                .frontier
-                .iter()
-                .fold(Rat::zero(), |acc, (_, _, m)| acc + m);
-            return Err(ExactError::Unterminated {
-                live_configs: self.frontier.len(),
-                mass: format!("{:.6}", mass.to_f64()),
-            });
+        if self.stats.steps >= step_bound {
+            self.cut = true;
+            return Ok(());
         }
-        stats.peak_configs = stats.peak_configs.max(self.frontier.len());
-        if self.frontier.len() > opts.max_configs || self.store.entries() > opts.max_configs {
+        self.stats.steps += 1;
+        if self.nodes.len() > opts.max_configs || self.store.entries() > opts.max_configs {
             return Err(ExactError::ConfigLimit(opts.max_configs));
         }
         if opts.deadline.expired() {
             return Err(ExactError::Interrupted {
-                steps: stats.steps - 1,
-                expansions: stats.expansions,
+                steps: self.stats.steps - 1,
+                expansions: self.stats.expansions,
             });
         }
 
-        stats.expansions += self.frontier.len() as u64;
+        self.stats.expansions += self.level.len() as u64;
         let Some(expansion) = expand_frontier(
             model,
             scheduler,
             &mut self.store,
-            &self.frontier,
+            &self.nodes,
+            &self.level,
             opts,
             workers,
+            std::mem::take(&mut self.scratch),
         )?
         else {
             return Err(ExactError::Interrupted {
@@ -652,38 +951,163 @@ impl EnumState {
             });
         };
         self.stats.orbit_merges += expansion.orbit_merges;
-        self.terminal_acc.extend(expansion.terminal);
-        for (g, m) in expansion.discarded {
-            *self.discarded.entry(g).or_insert_with(Rat::zero) += &m;
+
+        // Close this level's nodes in node order: the level is every
+        // non-terminal node from the first unclosed one on, so the
+        // terminal nodes between them close with no edges.
+        let level = std::mem::take(&mut self.level);
+        let mut expansion = expansion;
+        let width = self.nodes.width;
+        {
+            let mut succ = expansion.succ.drain(..);
+            let mut disc = expansion.discards.drain(..);
+            let mut succ_ids = expansion.succ_ids.chunks(width.max(1));
+            for (&v, &(n_succ, n_disc)) in level.iter().zip(&expansion.counts) {
+                while self.ends.len() < v as usize {
+                    self.close();
+                }
+                for _ in 0..n_succ {
+                    let s = succ.next().expect("counted successor");
+                    let ids = succ_ids.next().expect("counted successor ids");
+                    let to = self.resolve(&s, ids);
+                    let w = self.weight_id(s.weight);
+                    self.edges.push((to, w));
+                }
+                self.discards.extend(disc.by_ref().take(n_disc as usize));
+                self.close();
+            }
         }
-        self.frontier = if opts.merge_configs {
-            compress(&self.store, expansion.next, &mut self.stats)
-        } else {
-            expansion.next
-        };
+        expansion.clear();
+        self.scratch = expansion;
+        self.stats.peak_configs = self.stats.peak_configs.max(self.level.len());
         Ok(())
     }
 
-    /// Seals the exploration into an [`Analysis`]: merge and sort terminals,
-    /// decode them back to [`GlobalConfig`]s, sort discarded mass.
-    /// Feasibility-cache counters are the caller's responsibility (they are
-    /// deltas against a shared cache).
-    pub(crate) fn finish(self) -> Analysis {
+    /// The index of `w` in `weights`, added on first sight.
+    fn weight_id(&mut self, w: Rat) -> u32 {
+        if let Some(&(_, last)) = self.edges.last() {
+            if self.weights[last as usize] == w {
+                return last;
+            }
+        }
+        let next = self.weights.len() as u32;
+        match self.weight_index.entry(w) {
+            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                self.weights.push(e.key().clone());
+                e.insert(next);
+                next
+            }
+        }
+    }
+
+    /// Closes the next node with the edges and discards pushed since the
+    /// previous one.
+    fn close(&mut self) {
+        self.ends
+            .push((self.edges.len() as u32, self.discards.len() as u32));
+    }
+
+    /// Phase 2: pushes mass through the DAG in topological order (Kahn's
+    /// algorithm), collects terminal and discarded mass, and seals the
+    /// result into an [`Analysis`]: terminals merged, sorted and decoded
+    /// back to [`GlobalConfig`]s, discarded mass sorted by guard. `steps`
+    /// becomes the longest path, the number of global steps the slowest
+    /// trace takes. Feasibility-cache counters are the caller's
+    /// responsibility (they are deltas against a shared cache).
+    ///
+    /// # Errors
+    ///
+    /// [`ExactError::Unterminated`] when some state cannot be resolved
+    /// within the step bound: it lies on or behind a reachable cycle (Kahn
+    /// leaves it unsorted), a path of `step_bound` or more steps reaches it,
+    /// or phase 1 stopped before expanding it. The reported mass is the
+    /// probability of reaching such a state.
+    pub(crate) fn finish(
+        self,
+        step_bound: u64,
+        deadline: &Deadline,
+    ) -> Result<Analysis, ExactError> {
+        let n = self.nodes.len();
+        // Per node: unweighed in-edges, and the longest path to it in steps.
+        let mut order = vec![(0u32, 0u32); n];
+        for (to, _) in &self.edges {
+            order[*to as usize].0 += 1;
+        }
+        let mut mass = vec![Rat::zero(); n];
+        for (v, m) in &self.initial {
+            mass[*v as usize] += m;
+        }
+        let mut ready: Vec<u32> = (0..n as u32)
+            .filter(|&v| order[v as usize].0 == 0)
+            .collect();
+        let levels = self.stats.steps;
         let mut stats = self.stats;
-        // Terminal configurations are always merged: soundness does not
-        // depend on it, and it keeps the posterior small.
-        let terminals = compress(&self.store, self.terminal_acc, &mut stats);
+        stats.steps = 0;
+        let mut settled = 0usize;
+        let mut terminal_acc = Vec::new();
+        let mut discarded: FastMap<Guard, Rat> = FastMap::default();
+        while let Some(v) = ready.pop() {
+            if settled.is_multiple_of(DEADLINE_POLL_STRIDE) && deadline.expired() {
+                return Err(ExactError::Interrupted {
+                    steps: levels,
+                    expansions: stats.expansions,
+                });
+            }
+            let i = v as usize;
+            if self.nodes.terminal(v) {
+                let m = std::mem::take(&mut mass[i]);
+                terminal_acc.push((self.nodes.guard(v).clone(), self.nodes.key(v), m));
+                settled += 1;
+                continue;
+            }
+            let depth = order[i].1;
+            if i >= self.ends.len() || u64::from(depth) >= step_bound {
+                continue; // unresolved: its mass stays behind
+            }
+            let m = std::mem::take(&mut mass[i]);
+            settled += 1;
+            stats.steps = stats.steps.max(u64::from(depth) + 1);
+            let (e0, d0) = if i == 0 { (0, 0) } else { self.ends[i - 1] };
+            let (e1, d1) = self.ends[i];
+            for (g, w) in &self.discards[d0 as usize..d1 as usize] {
+                add_to(discarded.entry(g.clone()).or_default(), &m, w);
+            }
+            for &(to, w) in &self.edges[e0 as usize..e1 as usize] {
+                let t = to as usize;
+                add_to(&mut mass[t], &m, &self.weights[w as usize]);
+                let next = &mut order[t];
+                next.1 = next.1.max(depth + 1);
+                next.0 -= 1;
+                if next.0 == 0 {
+                    ready.push(to);
+                }
+            }
+        }
+        if settled < n {
+            let unresolved = mass.iter().fold(Rat::zero(), |acc, m| acc + m);
+            let live_configs = (0..n as u32).filter(|&v| !self.nodes.terminal(v)).count()
+                - (settled - terminal_acc.len());
+            return Err(ExactError::Unterminated {
+                live_configs,
+                mass: format!("{:.6}", unresolved.to_f64()),
+            });
+        }
+
+        // Terminal states are unique nodes under merging; without it the
+        // tree's repeated terminals merge here.
+        let terminals = compress(&self.store, terminal_acc, &mut stats);
         stats.terminal_configs = terminals.len();
-        let mut discarded: Vec<(Guard, Rat)> = self.discarded.into_iter().collect();
+        let mut discarded: Vec<(Guard, Rat)> = discarded.into_iter().collect();
         discarded.sort_unstable_by(|(g1, _), (g2, _)| g1.cmp(g2));
-        Analysis {
+        Ok(Analysis {
             terminals: terminals
                 .into_iter()
                 .map(|(g, key, m)| (self.store.decode(&key), g, m))
                 .collect(),
             discarded,
             stats,
-        }
+        })
     }
 }
 
@@ -770,11 +1194,11 @@ pub fn analyze(
     let (run_cache, opts, (hits_before, misses_before)) = run_cache_opts(opts);
     let (_lease, workers) = lease_workers(&opts);
 
-    let mut state = EnumState::init(model, scheduler, &opts)?;
-    while !state.done() {
-        state.step(model, scheduler, &opts, workers, bound)?;
+    let mut dag = Dag::init(model, scheduler, &opts)?;
+    while !dag.done() {
+        dag.step(model, scheduler, &opts, workers, bound)?;
     }
-    let mut analysis = state.finish();
+    let mut analysis = dag.finish(bound, &opts.deadline)?;
     let (hits_after, misses_after) = run_cache.counts();
     analysis.stats.feasibility_hits = hits_after - hits_before;
     analysis.stats.feasibility_misses = misses_after - misses_before;
@@ -800,11 +1224,12 @@ mod tests {
         let scheduler = scheduler_for(&plain);
         let opts = ExactOptions::default();
 
-        let mut state = EnumState::init(&plain, &*scheduler, &opts).unwrap();
+        let mut state = Dag::init(&plain, &*scheduler, &opts).unwrap();
         let (mut checked, mut moved) = (0, 0);
         while !state.done() {
-            for (_, key, _) in &state.frontier {
-                let mut reference = state.store.decode(key);
+            for &v in &state.level {
+                let key = state.nodes.key(v);
+                let mut reference = state.store.decode(&key);
                 let reference_moved = group.canonicalize(&mut reference);
                 let mut view = View::new(&state.store, state.store.overlay());
                 let mut ids = key.ids.clone();

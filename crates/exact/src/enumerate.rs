@@ -11,7 +11,13 @@
 use bayonet_num::{Rat, Sign};
 use bayonet_symbolic::{feasibility, FeasibilityCache, Guard, LinExpr};
 
-use bayonet_net::{ChoiceDriver, SemanticsError};
+use bayonet_net::{ChoiceDriver, Deadline, SemanticsError};
+
+use crate::engine::ExactError;
+
+/// How many handler runs an engine-driven enumeration completes between
+/// deadline polls.
+const DEADLINE_POLL_STRIDE: usize = 256;
 
 /// One recorded choice outcome.
 #[derive(Clone, Debug)]
@@ -37,6 +43,10 @@ pub struct ReplayDriver<'a> {
     fm_pruning: bool,
     /// Memoized feasibility verdicts shared across the run, if any.
     cache: Option<&'a FeasibilityCache>,
+    /// How many sibling branches this run may still queue.
+    room: usize,
+    /// Set when a draw would have queued more siblings than `room`.
+    over_limit: bool,
 }
 
 impl<'a> ReplayDriver<'a> {
@@ -45,6 +55,7 @@ impl<'a> ReplayDriver<'a> {
         base_guard: Guard,
         fm_pruning: bool,
         cache: Option<&'a FeasibilityCache>,
+        room: usize,
     ) -> Self {
         ReplayDriver {
             script,
@@ -54,6 +65,8 @@ impl<'a> ReplayDriver<'a> {
             pending: Vec::new(),
             fm_pruning,
             cache,
+            room,
+            over_limit: false,
         }
     }
 
@@ -105,6 +118,14 @@ impl ChoiceDriver for ReplayDriver<'_> {
             }
             Some(_) => unreachable!("replay mismatch: expected a uniform draw"),
             None => {
+                // Count the siblings before queuing one per value.
+                let siblings = i128::from(hi) - i128::from(lo);
+                if siblings > (self.room.saturating_sub(self.pending.len())) as i128 {
+                    self.over_limit = true;
+                    return Err(SemanticsError::Trap(
+                        "uniformInt range exceeds the branch limit".to_string(),
+                    ));
+                }
                 self.script.push(Choice::Uniform(lo));
                 self.pos += 1;
                 for v in lo + 1..=hi {
@@ -226,13 +247,55 @@ pub fn enumerate_eval_cached<T>(
     base_guard: &Guard,
     fm_pruning: bool,
     cache: Option<&FeasibilityCache>,
-    mut f: impl FnMut(&mut ReplayDriver) -> Result<T, SemanticsError>,
+    f: impl FnMut(&mut ReplayDriver) -> Result<T, SemanticsError>,
 ) -> Result<Vec<Branch<T>>, SemanticsError> {
+    enumerate_bounded(base_guard, fm_pruning, cache, None, f).map_err(|e| match e {
+        ExactError::Semantics(e) => e,
+        other => unreachable!("an unbounded enumeration failed with {other}"),
+    })
+}
+
+/// What bounds one engine-driven enumeration: the branches it may hold,
+/// done and queued, and the deadline it polls while branches are pending.
+pub(crate) struct Bounds<'a> {
+    pub(crate) max_branches: usize,
+    pub(crate) deadline: &'a Deadline,
+}
+
+/// [`enumerate_eval_cached`] under optional [`Bounds`]. A `uniformInt`
+/// draw is charged its whole range before one sibling is queued, so a
+/// range wider than the limit returns [`ExactError::ConfigLimit`] without
+/// allocating for it; an expired deadline returns
+/// [`ExactError::Interrupted`] with zero counts, which the caller fills in.
+pub(crate) fn enumerate_bounded<T>(
+    base_guard: &Guard,
+    fm_pruning: bool,
+    cache: Option<&FeasibilityCache>,
+    bounds: Option<&Bounds<'_>>,
+    mut f: impl FnMut(&mut ReplayDriver) -> Result<T, SemanticsError>,
+) -> Result<Vec<Branch<T>>, ExactError> {
+    let limit = bounds.map_or(usize::MAX, |b| b.max_branches);
     let mut out = Vec::new();
     let mut stack = vec![Vec::new()];
     while let Some(script) = stack.pop() {
-        let mut driver = ReplayDriver::new(script, base_guard.clone(), fm_pruning, cache);
-        let result = f(&mut driver)?;
+        if let Some(b) = bounds {
+            if !out.is_empty()
+                && out.len().is_multiple_of(DEADLINE_POLL_STRIDE)
+                && b.deadline.expired()
+            {
+                return Err(ExactError::Interrupted {
+                    steps: 0,
+                    expansions: 0,
+                });
+            }
+        }
+        let room = limit.saturating_sub(out.len() + stack.len() + 1);
+        let mut driver = ReplayDriver::new(script, base_guard.clone(), fm_pruning, cache, room);
+        let result = f(&mut driver);
+        if driver.over_limit || out.len() + stack.len() + driver.pending.len() >= limit {
+            return Err(ExactError::ConfigLimit(limit));
+        }
+        let result = result?;
         stack.append(&mut driver.pending);
         out.push(Branch {
             result,

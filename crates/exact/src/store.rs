@@ -46,7 +46,7 @@ use bayonet_net::{
 };
 
 use crate::engine::{ExactError, ExactOptions};
-use crate::enumerate::enumerate_eval_cached;
+use crate::enumerate::{enumerate_bounded, Bounds};
 
 /// What action enabling and termination read from a node configuration.
 #[derive(Clone, Copy, Debug)]
@@ -380,10 +380,15 @@ impl<'a> View<'a> {
             }
         }
         let nc = self.node(id);
-        let raw = enumerate_eval_cached(
+        let bounds = Bounds {
+            max_branches: opts.max_configs,
+            deadline: &opts.deadline,
+        };
+        let raw = enumerate_bounded(
             guard,
             opts.fm_pruning,
             opts.feasibility_cache.as_deref(),
+            Some(&bounds),
             |driver| {
                 let mut nc = nc.clone();
                 let outcome = run_handler(model, node, &mut nc, driver)?;
@@ -546,11 +551,16 @@ pub(crate) fn initial_states(
     // Branch indices per node, with the mass and guard of the prefix.
     let mut product: Vec<(Vec<usize>, Rat, Guard)> =
         vec![(Vec::with_capacity(k), Rat::one(), Guard::top())];
+    let bounds = Bounds {
+        max_branches: opts.max_configs,
+        deadline: &opts.deadline,
+    };
     for prog in &model.programs {
-        let branches = enumerate_eval_cached(
+        let branches = enumerate_bounded(
             &Guard::top(),
             opts.fm_pruning,
             opts.feasibility_cache.as_deref(),
+            Some(&bounds),
             |driver| bayonet_net::eval_state_init(model, prog, driver),
         )?;
         let size = product

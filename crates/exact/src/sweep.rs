@@ -45,8 +45,8 @@ use bayonet_symbolic::{Assignment, Guard, ParamId};
 use bayonet_net::{scheduler_for, Model, ParamWatch, Scheduler, Val};
 
 use crate::engine::{
-    analyze, lease_workers, run_cache_opts, step_bound, Analysis, EngineKind, EngineStats,
-    EnumState, ExactError, ExactOptions,
+    analyze, lease_workers, run_cache_opts, step_bound, Analysis, Dag, EngineKind, EngineStats,
+    ExactError, ExactOptions,
 };
 use crate::query::{answer_cached, CellAnswer, QueryResult};
 
@@ -383,7 +383,7 @@ fn try_symbolic_route(
 /// that step included, or nothing shareable.
 enum Probe {
     Complete(Analysis),
-    Fork(Box<EnumState>, EngineStats),
+    Fork(Box<Dag>, EngineStats),
     Nothing,
 }
 
@@ -408,7 +408,7 @@ fn probe(
     let watch = Arc::new(ParamWatch::new(probe.params.len(), params));
     probe.set_param_watch(Arc::clone(&watch));
 
-    let Ok(mut state) = EnumState::init(&probe, scheduler, opts) else {
+    let Ok(mut state) = Dag::init(&probe, scheduler, opts) else {
         // Initialization failed; whether the error depends on the grid is
         // unknown, so let every point reproduce it independently.
         return Probe::Nothing;
@@ -419,7 +419,12 @@ fn probe(
     }
     loop {
         if state.done() {
-            return Probe::Complete(state.finish());
+            // Weighing reads no parameter; an error here (a cycle, the
+            // step bound) is every point's own.
+            return match state.finish(bound, &opts.deadline) {
+                Ok(analysis) => Probe::Complete(analysis),
+                Err(_) => Probe::Nothing,
+            };
         }
         let mark = state.mark();
         match state.step(&probe, scheduler, opts, workers, bound) {
@@ -498,7 +503,7 @@ fn replay_route(
     opts: &ExactOptions,
     params: &[ParamId],
     points: &[Vec<Rat>],
-    prefix: EnumState,
+    prefix: Dag,
 ) -> SweepResult {
     let (_lease, workers) = lease_workers(opts);
     let bound = step_bound(base, opts);
@@ -518,7 +523,7 @@ fn replay_route(
             while !state.done() {
                 state.step(&pm, scheduler, opts, workers, bound)?;
             }
-            let analysis = state.finish();
+            let analysis = state.finish(bound, &opts.deadline)?;
             Ok(SweepPointResult {
                 results: answer_point(&pm, &analysis, opts)?,
                 z: analysis.total_terminal_mass(),

@@ -1,10 +1,14 @@
 //! Tests for engine features beyond the core benchmarks: the stateful
 //! rotor scheduler, source-level `num_steps` bounds, symbolic expectation
-//! values, and engine diagnostics.
+//! values, engine diagnostics, and the transition DAG's cycle and
+//! longest-path checks.
 
-use bayonet_exact::{analyze, answer, ExactError, ExactOptions};
+use std::time::Duration;
+
+use bayonet_exact::{analyze, answer, render_run, EngineKind, ExactError, ExactOptions};
 use bayonet_lang::parse;
-use bayonet_net::{compile, scheduler_for, Model, Val};
+use bayonet_lang::testgen::ProgramGen;
+use bayonet_net::{compile, scheduler_for, Deadline, Model, Val};
 use bayonet_num::Rat;
 
 mod common;
@@ -286,4 +290,125 @@ fn unlimited_deadline_changes_nothing() {
     .unwrap();
     let v = answer(&m, &analysis, &m.queries[0], true).unwrap();
     assert_eq!(v.rat().clone(), Rat::ratio(94, 27));
+}
+
+/// Two stateless nodes bounce one packet; each hop continues with
+/// probability 1/2, so the chain returns to its initial state forever with
+/// positive mass.
+const BOUNCE_CYCLE: &str = r#"
+    packet_fields { dst }
+    topology { nodes { A, B } links { (A, pt1) <-> (B, pt1) } }
+    programs { A -> bounce, B -> bounce }
+    init { packet -> (A, pt1); }
+    query probability(1 == 1);
+    def bounce(pkt, pt) { if flip(1/2) { fwd(1); } else { drop; } }
+"#;
+
+fn enum_options() -> ExactOptions {
+    ExactOptions {
+        engine: EngineKind::Enum,
+        ..common::test_options()
+    }
+}
+
+#[test]
+fn a_reachable_cycle_is_unterminated_without_walking_the_bound() {
+    let m = model(BOUNCE_CYCLE);
+    // No step bound at all: a step-by-step walk would never stop, and the
+    // deadline would report `Interrupted` instead.
+    let opts = ExactOptions {
+        max_global_steps: u64::MAX,
+        deadline: Deadline::after(Duration::from_secs(20)),
+        ..enum_options()
+    };
+    match analyze(&m, &*scheduler_for(&m), &opts) {
+        Err(ExactError::Unterminated { live_configs, .. }) => assert!(live_configs > 0),
+        other => panic!("expected Unterminated, got {other:?}"),
+    }
+}
+
+/// A reaches B directly or through C, so traces take different numbers of
+/// steps to terminate.
+fn detour_source(num_steps: u64) -> String {
+    format!(
+        r#"
+        packet_fields {{ dst }}
+        num_steps {num_steps};
+        topology {{
+            nodes {{ A, B, C }}
+            links {{ (A, pt1) <-> (B, pt1), (A, pt2) <-> (C, pt1), (C, pt2) <-> (B, pt2) }}
+        }}
+        programs {{ A -> split, B -> sink, C -> relay }}
+        init {{ packet -> (A, pt1); }}
+        query probability(got@B == 1);
+        def split(pkt, pt) {{ if flip(1/2) {{ fwd(1); }} else {{ fwd(2); }} }}
+        def relay(pkt, pt) {{ fwd(2); }}
+        def sink(pkt, pt) state got(0) {{ got = 1; drop; }}
+    "#
+    )
+}
+
+#[test]
+fn num_steps_bounds_the_longest_path() {
+    let unbounded = model(&detour_source(1000));
+    let analysis = analyze(&unbounded, &*scheduler_for(&unbounded), &enum_options()).unwrap();
+    let longest = analysis.stats.steps;
+    // Direct: run A, fwd A, run B (3 steps); the detour adds C's run and
+    // forward (5 steps).
+    assert_eq!(longest, 5);
+
+    let exact = model(&detour_source(longest));
+    assert_eq!(value(&exact, 0), Rat::one());
+    let m = model(&detour_source(longest - 1));
+    let err = analyze(&m, &*scheduler_for(&m), &enum_options()).unwrap_err();
+    assert!(matches!(err, ExactError::Unterminated { .. }), "{err}");
+}
+
+/// The transition DAG against plain tree enumeration (`merge_configs:
+/// false`, every successor a new state) on the generated corpus: the same
+/// posterior, the same rendered answers and the same longest path.
+#[test]
+fn the_dag_matches_tree_enumeration_on_generated_programs() {
+    let run = |source: &str, merge: bool| {
+        let m = model(source);
+        let opts = ExactOptions {
+            merge_configs: merge,
+            ..enum_options()
+        };
+        analyze(&m, &*scheduler_for(&m), &opts).map(|a| {
+            let results: Vec<_> = m
+                .queries
+                .iter()
+                .map(|q| answer(&m, &a, q, true).expect("query answers"))
+                .collect();
+            let text = render_run(
+                &results,
+                &a.total_terminal_mass(),
+                &a.total_discarded_mass(),
+                None,
+            );
+            (a, text)
+        })
+    };
+    let mut shared = 0;
+    for seed in 0..200 {
+        let source = ProgramGen::new(seed).generate();
+        match (run(&source, true), run(&source, false)) {
+            (Ok((dag, dag_text)), Ok((tree, tree_text))) => {
+                assert_eq!(dag.terminals, tree.terminals, "seed {seed}");
+                assert_eq!(dag.discarded, tree.discarded, "seed {seed}");
+                assert_eq!(dag_text, tree_text, "seed {seed}");
+                assert_eq!(dag.stats.steps, tree.stats.steps, "seed {seed}");
+                assert_eq!(
+                    dag.stats.terminal_configs, tree.stats.terminal_configs,
+                    "seed {seed}"
+                );
+                assert!(dag.stats.expansions <= tree.stats.expansions);
+                shared += usize::from(dag.stats.expansions < tree.stats.expansions);
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "seed {seed}"),
+            (a, b) => panic!("seed {seed}: {:?} vs {:?}", a.err(), b.err()),
+        }
+    }
+    assert!(shared > 20, "only {shared} programs share any state");
 }

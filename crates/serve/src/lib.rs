@@ -73,5 +73,6 @@ pub use persist::{
 };
 pub use server::{start, ServerConfig, ServerHandle, DEFAULT_MAX_CONNECTIONS};
 pub use service::{
-    Service, ServiceOptions, DEFAULT_CACHE_ENTRIES, MAX_BATCH_ITEMS, MAX_SWEEP_POINTS,
+    Service, ServiceOptions, DEFAULT_CACHE_ENTRIES, MAX_BATCH_ITEMS, MAX_PARTICLES,
+    MAX_SWEEP_POINTS,
 };

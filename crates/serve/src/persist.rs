@@ -51,8 +51,9 @@ const MAGIC: [u8; 4] = *b"BAYC";
 /// old keys are discarded on load instead of never matching again, and
 /// whenever a fresh run of a key would answer differently (version 3: the
 /// engine `stats` of programs the deleted fold and dead-flip passes used to
-/// rewrite).
-const FORMAT_VERSION: u32 = 3;
+/// rewrite; version 4: the transition-DAG engine's `expansions`,
+/// `peak_configs` and `merge_hits`).
+const FORMAT_VERSION: u32 = 4;
 const HEADER_LEN: usize = 8;
 /// A payload is a key plus one JSON response body; anything claiming to be
 /// larger than this is treated as framing corruption, not data.

@@ -80,6 +80,11 @@ pub const MAX_BATCH_ITEMS: usize = 256;
 /// scaled up because grid points share one compile and most engine work.
 pub const MAX_SWEEP_POINTS: usize = 1024;
 
+/// Largest accepted `particles` for the approximate engines: the most the
+/// planner ever sizes an SMC run to. Each particle holds one global
+/// configuration, so an unbounded count is an unbounded allocation.
+pub const MAX_PARTICLES: u64 = 100_000;
+
 /// Largest per-request `threads` value accepted before server-side
 /// clamping; anything above this is a client error rather than a hint.
 pub const MAX_REQUEST_THREADS: u64 = 64;
@@ -1328,6 +1333,17 @@ fn bounded_field(doc: &Json, name: &str, lo: u64, hi: u64) -> Result<Option<u64>
     }
 }
 
+/// `particles`, capped at [`MAX_PARTICLES`].
+fn particles_field(doc: &Json) -> Result<Option<usize>, ApiError> {
+    match uint_field(doc, "particles")? {
+        Some(v) if v > MAX_PARTICLES => Err(bad(
+            format!("`particles` is {v}; the maximum is {MAX_PARTICLES}"),
+            "particles",
+        )),
+        v => Ok(v.map(|v| v as usize)),
+    }
+}
+
 fn timeout_field(doc: &Json) -> Result<Option<u64>, ApiError> {
     bounded_field(doc, "timeout_ms", 1, MAX_TIMEOUT_MS)
 }
@@ -1407,7 +1423,7 @@ impl InferenceRequest {
             timeout_ms: timeout_field(doc)?,
             threads: threads_field(doc)?,
             passes: bool_field(doc, "passes", true)?,
-            particles: uint_field(doc, "particles")?.map(|v| v as usize),
+            particles: particles_field(doc)?,
             seed: uint_field(doc, "seed")?,
             maximize: bool_field(doc, "maximize", false)?,
             allow_zero_params: bool_field(doc, "allow_zero_params", false)?,

@@ -41,6 +41,20 @@ pub const TINY_PARAM: &str = r#"
     def recv(pkt, pt) state got(0) { if flip(P) { got = 1; } drop; }
 "#;
 
+/// A program whose observation keeps one trace in a million: rejection
+/// sampling it runs far past any test deadline even at the `particles`
+/// cap, polling the deadline once per attempt. Tests use it to pin a
+/// worker until its request's deadline.
+pub const RARE_EVIDENCE: &str = r#"
+    packet_fields { dst }
+    topology { nodes { A, B } links { (A, pt1) <-> (B, pt1) } }
+    programs { A -> draw, B -> sink }
+    init { packet -> (A, pt1); }
+    query probability(x@A == 1);
+    def draw(pkt, pt) state x(0) { x = uniformInt(1, 1000000); observe(x == 1); drop; }
+    def sink(pkt, pt) { drop; }
+"#;
+
 /// Gossip on K4 (examples/bay/gossip_k4.bay): heavy enough that a 1 ms
 /// deadline reliably expires mid-exploration and the parallel
 /// expander engages.

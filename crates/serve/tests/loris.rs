@@ -18,7 +18,7 @@ use std::time::Duration;
 use bayonet_serve::{start, Json, ServerConfig};
 
 mod common;
-use common::{metric_value, GOSSIP_K4, TINY};
+use common::{metric_value, RARE_EVIDENCE, TINY};
 
 #[test]
 fn slow_loris_trickle_times_out_without_wedging_the_loop() {
@@ -181,11 +181,11 @@ fn client_disconnect_mid_batch_cancels_cleanly() {
     // write fails with `BrokenPipe` — cancelling the remaining items
     // instead of grinding through them for a dead client.
     let slow_item = |seed: u64| {
-        format!(r#"{{"engine":"rejection","particles":2000000,"seed":{seed},"timeout_ms":3000}}"#)
+        format!(r#"{{"engine":"rejection","particles":100000,"seed":{seed},"timeout_ms":3000}}"#)
     };
     let batch = format!(
         r#"{{"source":{},"items":[{},{},{}]}}"#,
-        Json::Str(GOSSIP_K4.into()),
+        Json::Str(RARE_EVIDENCE.into()),
         slow_item(1),
         slow_item(2),
         slow_item(3)

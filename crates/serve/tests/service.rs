@@ -10,7 +10,7 @@ use std::time::Duration;
 use bayonet_serve::{start, Json, ServerConfig};
 
 mod common;
-use common::{http, run_body, GOSSIP_K4, TINY};
+use common::{http, run_body, GOSSIP_K4, RARE_EVIDENCE, TINY};
 
 #[test]
 fn concurrent_clients_all_get_exact_answers() {
@@ -172,9 +172,9 @@ fn overloaded_queue_sheds_load_with_503() {
 
     let slow_body = |seed: u64| {
         Json::obj(vec![
-            ("source", Json::Str(GOSSIP_K4.into())),
+            ("source", Json::Str(RARE_EVIDENCE.into())),
             ("engine", Json::Str("rejection".into())),
-            ("particles", Json::Num(2_000_000.0)),
+            ("particles", Json::Num(100_000.0)),
             ("seed", Json::Num(seed as f64)),
             ("timeout_ms", Json::Num(3_000.0)),
         ])

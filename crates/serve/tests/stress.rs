@@ -18,7 +18,7 @@ use std::time::Duration;
 use bayonet_serve::{parse_json, start, Json, ServerConfig};
 
 mod common;
-use common::{metric_value, GOSSIP_K4, TINY};
+use common::{metric_value, GOSSIP_K4, RARE_EVIDENCE, TINY};
 
 /// A small two-node program, parameterized by the flip weight so each
 /// burst request is a distinct cache entry (forcing real engine work).
@@ -46,8 +46,8 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
 /// honored closely, while the particle budget alone would run far longer.
 fn slow_body(seed: u64) -> String {
     format!(
-        r#"{{"source":{},"engine":"rejection","particles":2000000,"seed":{seed},"timeout_ms":3000}}"#,
-        Json::Str(GOSSIP_K4.into())
+        r#"{{"source":{},"engine":"rejection","particles":100000,"seed":{seed},"timeout_ms":3000}}"#,
+        Json::Str(RARE_EVIDENCE.into())
     )
 }
 

@@ -1,5 +1,5 @@
 //! Table-driven request-validation tests: malformed `threads` and
-//! `timeout_ms` values, unknown fields, and malformed `/v1/batch` bodies
+//! `timeout_ms` values, `particles` over its maximum, unknown fields, and malformed `/v1/batch` bodies
 //! must all produce structured `400` responses — never a panic, never a
 //! half-written chunked body, and never a silent fall-back to a default.
 
@@ -7,7 +7,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use bayonet_serve::{parse_json, start, Json, ServerConfig, MAX_BATCH_ITEMS, MAX_BODY_BYTES};
+use bayonet_serve::{
+    parse_json, start, Json, ServerConfig, MAX_BATCH_ITEMS, MAX_BODY_BYTES, MAX_PARTICLES,
+};
 
 mod common;
 use common::TINY;
@@ -45,8 +47,11 @@ fn malformed_knobs_are_structured_400s() {
         ("\"timeout_ms\":\"1s\"",    "`timeout_ms` must be a nonnegative integer"),
         ("\"timeout_ms\":{}",        "`timeout_ms` must be a nonnegative integer"),
         ("\"thread\":2",             "unknown request field `thread`"),
+        ("\"particles\":100001",     "`particles` is 100001; the maximum is 100000"),
+        ("\"particles\":1e11",       "`particles` is 100000000000; the maximum is 100000"),
     ];
 
+    assert_eq!(MAX_PARTICLES, 100_000, "the particles cases encode the cap");
     let handle = start(common::test_config()).expect("start server");
     let addr = handle.addr();
 
