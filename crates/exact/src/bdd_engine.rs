@@ -500,7 +500,7 @@ pub(crate) fn analyze_bdd(
     // Same gate as the enumeration engine: canonicalize by orbit only when
     // the scheduler commutes with node permutations and parameters are
     // concrete.
-    let sym = crate::engine::symmetry_for(model, scheduler).map(Symmetry::new);
+    let sym = crate::engine::run_symmetry(model, scheduler);
     let sym = sym.as_ref();
 
     let mut store = Store::new();
@@ -711,7 +711,7 @@ fn expand_run(
             root,
             base,
             &mut |store, v, below| {
-                let branches = ctx.states.run_branches(ctx.model, ctx.opts, i, v, guard)?;
+                let (branches, _) = ctx.states.run_branches(ctx.model, ctx.opts, i, v, guard)?;
                 let mut out: Vec<(RunTag, NodeRef)> = Vec::new();
                 for b in branches.iter() {
                     if b.weight.is_zero() {

@@ -61,12 +61,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bayonet_num::{FastMap, Rat};
-use bayonet_symbolic::{FeasibilityCache, Guard};
+use bayonet_symbolic::{FeasibilityCache, Guard, ParamId};
 
-use bayonet_net::{Action, Deadline, GlobalConfig, Model, Scheduler, SemanticsError};
+use bayonet_net::{Action, Deadline, GlobalConfig, Model, ParamWatch, Scheduler, SemanticsError};
 
 use crate::pool::{fan_out, ComputePool};
-use crate::store::{initial_states, Remap, StateKey, StateStore, Symmetry, View};
+use crate::store::{
+    after_handler, handler_branches, initial_states, Remap, RunBranch, StateKey, StateStore,
+    Symmetry, View,
+};
 
 /// Which exact backend explores the global transition system. Both produce
 /// bit-identical [`Analysis`] posteriors; they differ in how the frontier is
@@ -476,6 +479,17 @@ impl NodeTable {
     }
 }
 
+/// Where a parameter-dependent weight comes from: branch `branch` of the
+/// handler run of node `node` on configuration `id` (under the expanded
+/// state's guard), scaled by the scheduler's `p_sched`.
+#[derive(Clone)]
+struct Label {
+    node: u32,
+    id: u32,
+    branch: u32,
+    p_sched: Rat,
+}
+
 /// One successor of an expanded state, before it is resolved to a node.
 #[derive(Clone)]
 struct Succ {
@@ -483,6 +497,8 @@ struct Succ {
     sched: u32,
     weight: Rat,
     terminal: bool,
+    /// Set when the weight came from a handler run that read a parameter.
+    label: Option<Box<Label>>,
 }
 
 /// The out-edges produced by expanding a run of states: per state, how many
@@ -493,7 +509,7 @@ struct Expansion {
     counts: Vec<(u32, u32)>,
     succ: Vec<Succ>,
     succ_ids: Vec<u32>,
-    discards: Vec<(Guard, Rat)>,
+    discards: Vec<(Guard, Rat, Option<Box<Label>>)>,
     orbit_merges: u64,
 }
 
@@ -515,16 +531,23 @@ impl Expansion {
         self.orbit_merges = 0;
     }
 
-    /// Renumbers successor ids after the chunk's overlay was absorbed.
+    /// Renumbers successor and label ids after the chunk's overlay was
+    /// absorbed.
     fn renumber(&mut self, remap: &Remap) {
         for id in &mut self.succ_ids {
             *id = remap.id(*id);
+        }
+        let labels = self.succ.iter_mut().map(|s| &mut s.label);
+        let discards = self.discards.iter_mut().map(|d| &mut d.2);
+        for label in labels.chain(discards).flatten() {
+            label.id = remap.id(label.id);
         }
     }
 
     /// Canonicalizes the successor whose ids were just appended by symmetry
     /// orbit (counting the replacement when it changed anything) and files
     /// it.
+    #[allow(clippy::too_many_arguments)]
     fn push(
         &mut self,
         view: &mut View<'_>,
@@ -532,6 +555,7 @@ impl Expansion {
         guard: Guard,
         sched: u32,
         weight: Rat,
+        label: Option<Box<Label>>,
         start: usize,
     ) {
         let ids = &mut self.succ_ids[start..];
@@ -546,6 +570,7 @@ impl Expansion {
             sched,
             weight,
             terminal,
+            label,
         });
     }
 }
@@ -567,6 +592,7 @@ impl Expansion {
 fn expand_frontier(
     model: &Model,
     scheduler: &dyn Scheduler,
+    sym: Option<&Symmetry<'_>>,
     store: &mut StateStore,
     nodes: &NodeTable,
     level: &[u32],
@@ -574,8 +600,6 @@ fn expand_frontier(
     workers: usize,
     scratch: Expansion,
 ) -> Result<Option<Expansion>, ExactError> {
-    let sym = symmetry_for(model, scheduler).map(Symmetry::new);
-    let sym = sym.as_ref();
     // The lowest chunk that has failed so far (`usize::MAX`: none). An
     // expired deadline stores 0, which stops every later chunk. A stopped
     // chunk returns `Err(None)`.
@@ -660,6 +684,15 @@ pub(crate) fn symmetry_for<'a>(
     model.opt_info().and_then(|i| i.symmetry.as_ref())
 }
 
+/// The symmetry group of [`symmetry_for`], prepared for id-level
+/// canonicalization; built once per run.
+pub(crate) fn run_symmetry<'a>(
+    model: &'a Model,
+    scheduler: &dyn Scheduler,
+) -> Option<Symmetry<'a>> {
+    symmetry_for(model, scheduler).map(Symmetry::new)
+}
+
 /// Expands state `v` by one global step with unit mass, appending its
 /// successors and discarded branches to `out`. A successor copies the id
 /// slice and changes the ids of at most two nodes.
@@ -686,22 +719,31 @@ fn expand_config(
                 let start = out.succ_ids.len();
                 out.succ_ids.extend_from_slice(ids);
                 view.forward(model, i, &mut out.succ_ids[start..])?;
-                out.push(view, sym, guard.clone(), sched_next, p_sched, start);
+                out.push(view, sym, guard.clone(), sched_next, p_sched, None, start);
             }
             Action::Run(i) => {
                 // G-Run: every complete handler execution, once per
                 // distinct (node, configuration, guard).
-                let branches = view.run_branches(model, opts, i, ids[i], guard)?;
-                for b in branches.iter() {
+                let (branches, reads) = view.run_branches(model, opts, i, ids[i], guard)?;
+                for (branch, b) in branches.iter().enumerate() {
                     let weight = &p_sched * &b.weight;
+                    let label = reads.then(|| {
+                        Box::new(Label {
+                            node: i as u32,
+                            id: ids[i],
+                            branch: branch as u32,
+                            p_sched: p_sched.clone(),
+                        })
+                    });
                     match b.next {
                         // Conditioning: this mass leaves the distribution.
-                        None => out.discards.push((b.guard.clone(), weight)),
+                        None => out.discards.push((b.guard.clone(), weight, label)),
                         Some(id) => {
                             let start = out.succ_ids.len();
                             out.succ_ids.extend_from_slice(ids);
                             out.succ_ids[start + i] = id;
-                            out.push(view, sym, b.guard.clone(), sched_next, weight, start);
+                            let g = b.guard.clone();
+                            out.push(view, sym, g, sched_next, weight, label, start);
                         }
                     }
                 }
@@ -767,6 +809,13 @@ fn compress(
 /// a node, so expanding a level in node order also closes the nodes in
 /// node order, and out-edges live in one flat array indexed by `ends`.
 ///
+/// Edges and discards point into a table of weight slots. A slot holds
+/// either a plain weight, shared by every edge with that value, or a
+/// *label*: the scheduler probability times one branch of a handler run
+/// that read a parameter the model's watch watches. Labelled slots are
+/// never shared with plain ones, so [`KeptDag::reweigh`] can recompute
+/// them under another binding and weigh the same DAG again.
+///
 /// [`analyze`] drives it straight to the end of phase 1; the sweep engine
 /// ([`crate::sweep`]) instead keeps it at the last level that provably did
 /// not depend on a swept parameter ([`Dag::mark`], [`Dag::rewind`]) and
@@ -782,13 +831,24 @@ pub(crate) struct Dag {
     /// `edges[ends[v - 1].0..ends[v].0]`, likewise its discarded branches.
     /// A node is closed once its level has been expanded.
     ends: Vec<(u32, u32)>,
-    /// Out-edges: successor node and an index into `weights`.
+    /// Out-edges: successor node and a weight slot.
     edges: Vec<(u32, u32)>,
-    /// Distinct edge weights: a run's edges share few of them (scheduler
+    /// Weight slots: a run's edges share few distinct weights (scheduler
     /// probabilities times branch probabilities).
     weights: Vec<Rat>,
+    /// Plain slots by value, and the slot last returned for one.
     weight_index: FastMap<Rat, u32>,
-    discards: Vec<(Guard, Rat)>,
+    last_weight: u32,
+    /// Discarded branches: guard and weight slot.
+    discards: Vec<(Guard, u32)>,
+    /// Handler runs that read a watched parameter, as `(node, id, guard
+    /// index)`, in first-use order, with their index.
+    runs: Vec<(u32, u32, u32)>,
+    run_index: FastMap<(u32, u32, u32), u32>,
+    /// Labelled slots: `(slot, run, branch, scheduler probability)`, and
+    /// the slot of each `(run, branch, scheduler probability)`.
+    labels: Vec<(u32, u32, u32, Rat)>,
+    label_index: FastMap<(u32, u32, Rat), u32>,
     /// The non-terminal states the next step expands.
     level: Vec<u32>,
     /// Set when a level reached the step bound unexpanded.
@@ -812,13 +872,13 @@ impl Dag {
     /// Builds the initial distribution (see [`initial_states`]),
     /// canonicalized by symmetry orbit from the start: orbit masses then
     /// evolve exactly under the permutation-invariant step kernel, for any
-    /// initial packet placement.
+    /// initial packet placement. `sym` is the run's symmetry group (see
+    /// [`run_symmetry`]).
     pub(crate) fn init(
         model: &Model,
-        scheduler: &dyn Scheduler,
+        sym: Option<&Symmetry<'_>>,
         opts: &ExactOptions,
     ) -> Result<Dag, ExactError> {
-        let sym = symmetry_for(model, scheduler).map(Symmetry::new);
         let empty = StateStore::default();
         let mut view = View::new(&empty, StateStore::default());
         let initial = initial_states(model, opts, &mut |nc| view.intern(nc))?;
@@ -826,7 +886,7 @@ impl Dag {
         for (guard, ids, mass) in initial {
             let start = out.succ_ids.len();
             out.succ_ids.extend(ids);
-            out.push(&mut view, sym.as_ref(), guard, 0, mass, start);
+            out.push(&mut view, sym, guard, 0, mass, None, start);
         }
         let mut dag = Dag {
             store: view.into_own(),
@@ -836,7 +896,12 @@ impl Dag {
             edges: Vec::new(),
             weights: Vec::new(),
             weight_index: FastMap::default(),
+            last_weight: EMPTY,
             discards: Vec::new(),
+            runs: Vec::new(),
+            run_index: FastMap::default(),
+            labels: Vec::new(),
+            label_index: FastMap::default(),
             level: Vec::new(),
             cut: false,
             scratch: Expansion::default(),
@@ -891,13 +956,18 @@ impl Dag {
     /// Returns to `mark`, taken earlier in this exploration: drops the
     /// nodes, edges and index entries added since, and keeps the store but
     /// not its handler memo, since the steps since may have run handlers
-    /// under bindings the caller is about to change.
+    /// under bindings the caller is about to change. Labels go with the
+    /// handler memo; a sweep marks only positions before the first read.
     pub(crate) fn rewind(mut self, mark: Mark) -> Dag {
         self.store.forget_handler_runs();
         self.nodes.truncate(mark.nodes);
         self.ends.truncate(mark.ends);
         self.edges.truncate(mark.edges);
         self.discards.truncate(mark.discards);
+        self.runs.clear();
+        self.run_index.clear();
+        self.labels.clear();
+        self.label_index.clear();
         self.level = mark.level;
         self.cut = false;
         self.stats = mark.stats;
@@ -910,10 +980,12 @@ impl Dag {
     /// unresolved and [`Dag::finish`] reports it.
     ///
     /// Callers must not invoke this once [`Dag::done`] holds.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step(
         &mut self,
         model: &Model,
         scheduler: &dyn Scheduler,
+        sym: Option<&Symmetry<'_>>,
         opts: &ExactOptions,
         workers: usize,
         step_bound: u64,
@@ -937,6 +1009,7 @@ impl Dag {
         let Some(expansion) = expand_frontier(
             model,
             scheduler,
+            sym,
             &mut self.store,
             &self.nodes,
             &self.level,
@@ -966,14 +1039,18 @@ impl Dag {
                 while self.ends.len() < v as usize {
                     self.close();
                 }
+                let guard = self.nodes.meta[v as usize].guard;
                 for _ in 0..n_succ {
                     let s = succ.next().expect("counted successor");
                     let ids = succ_ids.next().expect("counted successor ids");
                     let to = self.resolve(&s, ids);
-                    let w = self.weight_id(s.weight);
+                    let w = self.slot(s.weight, s.label, guard);
                     self.edges.push((to, w));
                 }
-                self.discards.extend(disc.by_ref().take(n_disc as usize));
+                for (g, weight, label) in disc.by_ref().take(n_disc as usize) {
+                    let w = self.slot(weight, label, guard);
+                    self.discards.push((g, w));
+                }
                 self.close();
             }
         }
@@ -983,22 +1060,52 @@ impl Dag {
         Ok(())
     }
 
-    /// The index of `w` in `weights`, added on first sight.
+    /// The weight slot for `w`: the labelled slot of `label` (its run keyed
+    /// under the expanded state's guard index `guard`), or the plain slot
+    /// of `w`; either is added on first sight.
+    fn slot(&mut self, w: Rat, label: Option<Box<Label>>, guard: u32) -> u32 {
+        let Some(label) = label else {
+            return self.weight_id(w);
+        };
+        let Label {
+            node,
+            id,
+            branch,
+            p_sched,
+        } = *label;
+        let key = (node, id, guard);
+        let next = self.runs.len() as u32;
+        let run = *self.run_index.entry(key).or_insert(next);
+        if run == next {
+            self.runs.push(key);
+        }
+        let key = (run, branch, p_sched);
+        if let Some(&slot) = self.label_index.get(&key) {
+            return slot;
+        }
+        let slot = self.weights.len() as u32;
+        self.weights.push(w);
+        self.labels.push((slot, run, key.1, key.2.clone()));
+        self.label_index.insert(key, slot);
+        slot
+    }
+
+    /// The plain slot of `w`, added on first sight.
     fn weight_id(&mut self, w: Rat) -> u32 {
-        if let Some(&(_, last)) = self.edges.last() {
-            if self.weights[last as usize] == w {
-                return last;
-            }
+        if self.last_weight != EMPTY && self.weights[self.last_weight as usize] == w {
+            return self.last_weight;
         }
         let next = self.weights.len() as u32;
-        match self.weight_index.entry(w) {
+        let slot = match self.weight_index.entry(w) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 self.weights.push(e.key().clone());
                 e.insert(next);
                 next
             }
-        }
+        };
+        self.last_weight = slot;
+        slot
     }
 
     /// Closes the next node with the edges and discards pushed since the
@@ -1008,13 +1115,18 @@ impl Dag {
             .push((self.edges.len() as u32, self.discards.len() as u32));
     }
 
+    /// The weight of every slot under the binding the DAG was explored with.
+    pub(crate) fn weights(&self) -> &[Rat] {
+        &self.weights
+    }
+
     /// Phase 2: pushes mass through the DAG in topological order (Kahn's
-    /// algorithm), collects terminal and discarded mass, and seals the
-    /// result into an [`Analysis`]: terminals merged, sorted and decoded
-    /// back to [`GlobalConfig`]s, discarded mass sorted by guard. `steps`
-    /// becomes the longest path, the number of global steps the slowest
-    /// trace takes. Feasibility-cache counters are the caller's
-    /// responsibility (they are deltas against a shared cache).
+    /// algorithm) with slot weights `weights`, collects terminal and
+    /// discarded mass, and seals the result into an [`Analysis`]: terminals
+    /// merged, sorted and decoded back to [`GlobalConfig`]s, discarded mass
+    /// sorted by guard. `steps` becomes the longest path, the number of
+    /// global steps the slowest trace takes. Feasibility-cache counters are
+    /// the caller's responsibility (they are deltas against a shared cache).
     ///
     /// # Errors
     ///
@@ -1024,7 +1136,8 @@ impl Dag {
     /// or phase 1 stopped before expanding it. The reported mass is the
     /// probability of reaching such a state.
     pub(crate) fn finish(
-        self,
+        &self,
+        weights: &[Rat],
         step_bound: u64,
         deadline: &Deadline,
     ) -> Result<Analysis, ExactError> {
@@ -1042,7 +1155,7 @@ impl Dag {
             .filter(|&v| order[v as usize].0 == 0)
             .collect();
         let levels = self.stats.steps;
-        let mut stats = self.stats;
+        let mut stats = self.stats.clone();
         stats.steps = 0;
         let mut settled = 0usize;
         let mut terminal_acc = Vec::new();
@@ -1071,11 +1184,15 @@ impl Dag {
             let (e0, d0) = if i == 0 { (0, 0) } else { self.ends[i - 1] };
             let (e1, d1) = self.ends[i];
             for (g, w) in &self.discards[d0 as usize..d1 as usize] {
-                add_to(discarded.entry(g.clone()).or_default(), &m, w);
+                add_to(
+                    discarded.entry(g.clone()).or_default(),
+                    &m,
+                    &weights[*w as usize],
+                );
             }
             for &(to, w) in &self.edges[e0 as usize..e1 as usize] {
                 let t = to as usize;
-                add_to(&mut mass[t], &m, &self.weights[w as usize]);
+                add_to(&mut mass[t], &m, &weights[w as usize]);
                 let next = &mut order[t];
                 next.1 = next.1.max(depth + 1);
                 next.0 -= 1;
@@ -1108,6 +1225,151 @@ impl Dag {
             discarded,
             stats,
         })
+    }
+}
+
+/// A finished exploration kept to answer other bindings of the same
+/// program without exploring (see [`analyze_keeping`]): the DAG with its
+/// configurations, and the branches each labelled handler run gave under
+/// the binding it was explored with.
+pub struct KeptDag {
+    dag: Dag,
+    /// Per entry of the DAG's `runs`: its branches when explored.
+    runs: Vec<Arc<[RunBranch]>>,
+    step_bound: u64,
+}
+
+/// What a run of [`analyze_keeping`] lets later bindings of the same model
+/// reuse.
+pub enum Reuse {
+    /// Nothing: a state initializer or init packet read a parameter, or
+    /// the run was not an enumeration of a fully bound model.
+    Never,
+    /// The whole analysis: nothing read a parameter, so every binding
+    /// explores and weighs the same.
+    Blind,
+    /// The DAG: only handler runs read a parameter, so another binding can
+    /// re-run those and re-weigh it ([`KeptDag::reweigh`]).
+    Reweigh(Box<KeptDag>),
+}
+
+impl KeptDag {
+    /// Drops what only exploring needs (the store's memos and intern index,
+    /// the node and weight indexes, the expansion buffers) and takes the
+    /// labelled runs' branches from the store first.
+    fn keep(mut dag: Dag, step_bound: u64) -> KeptDag {
+        let runs = dag
+            .runs
+            .iter()
+            .map(|&(node, id, guard)| {
+                let guard = &dag.nodes.guards[guard as usize];
+                Arc::clone(
+                    dag.store
+                        .handler_run(node, id, guard)
+                        .expect("a labelled run is memoized"),
+                )
+            })
+            .collect();
+        dag.store.keep_configs_only();
+        dag.nodes.slots = Vec::new();
+        dag.nodes.guard_index = FastMap::default();
+        dag.nodes.ids.shrink_to_fit();
+        dag.nodes.meta.shrink_to_fit();
+        dag.edges.shrink_to_fit();
+        dag.ends.shrink_to_fit();
+        dag.weight_index = FastMap::default();
+        dag.run_index = FastMap::default();
+        dag.label_index = FastMap::default();
+        dag.scratch = Expansion::default();
+        KeptDag {
+            dag,
+            runs,
+            step_bound,
+        }
+    }
+
+    /// A rough size in bytes: the configurations (see
+    /// [`NodeConfig::approx_bytes`](bayonet_net::NodeConfig::approx_bytes)),
+    /// the DAG's tables and the kept runs' branches. Heap words inside
+    /// rationals and guards are not counted.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let d = &self.dag;
+        let branches: usize = self.runs.iter().map(|r| size_of_val(&**r)).sum();
+        d.store.config_bytes()
+            + size_of_val(d.nodes.ids.as_slice())
+            + size_of_val(d.nodes.meta.as_slice())
+            + size_of_val(d.nodes.guards.as_slice())
+            + size_of_val(d.initial.as_slice())
+            + size_of_val(d.ends.as_slice())
+            + size_of_val(d.edges.as_slice())
+            + size_of_val(d.weights.as_slice())
+            + size_of_val(d.discards.as_slice())
+            + size_of_val(d.runs.as_slice())
+            + size_of_val(d.labels.as_slice())
+            + self.runs.len() * size_of::<Arc<[RunBranch]>>()
+            + branches
+    }
+
+    /// Answers `model` — the model the DAG was explored on, under another
+    /// binding — without exploring: re-runs each labelled handler run and
+    /// checks it gives the same branches (equal guards, the same next
+    /// configurations), then weighs the DAG with the labelled slots
+    /// recomputed. The result equals a fresh [`analyze`] of `model`,
+    /// statistics included, apart from the feasibility-cache counters.
+    ///
+    /// Returns `Ok(None)` when the binding changes the DAG's shape: a run
+    /// gives other branches or fails (a fresh exploration reports its
+    /// error), or the step bound differs.
+    ///
+    /// # Errors
+    ///
+    /// [`ExactError::Interrupted`] when the deadline expires.
+    pub fn reweigh(
+        &self,
+        model: &Model,
+        opts: &ExactOptions,
+    ) -> Result<Option<Analysis>, ExactError> {
+        if step_bound(model, opts) != self.step_bound {
+            return Ok(None);
+        }
+        let (run_cache, opts, (hits_before, misses_before)) = run_cache_opts(opts);
+        let dag = &self.dag;
+        let mut branch_weights = Vec::with_capacity(self.runs.len());
+        for (&(node, id, guard), kept) in dag.runs.iter().zip(&self.runs) {
+            let guard = &dag.nodes.guards[guard as usize];
+            let nc = dag.store.node(id);
+            let got = match handler_branches(model, &opts, node as usize, nc, guard) {
+                Ok(got) => got,
+                Err(e @ ExactError::Interrupted { .. }) => return Err(e),
+                Err(_) => return Ok(None),
+            };
+            if got.len() != kept.len() {
+                return Ok(None);
+            }
+            let mut run_weights = Vec::with_capacity(got.len());
+            for (now, then) in got.into_iter().zip(kept.iter()) {
+                let same_next = match (after_handler(now.result), then.next) {
+                    (Some(nc), Some(id)) => nc == *dag.store.node(id),
+                    (None, None) => true,
+                    _ => false,
+                };
+                if now.guard != then.guard || !same_next {
+                    return Ok(None);
+                }
+                run_weights.push(now.weight);
+            }
+            branch_weights.push(run_weights);
+        }
+        let mut weights = dag.weights.clone();
+        for (slot, run, branch, p_sched) in &dag.labels {
+            weights[*slot as usize] = p_sched * &branch_weights[*run as usize][*branch as usize];
+        }
+        let mut analysis = dag.finish(&weights, self.step_bound, &opts.deadline)?;
+        let (hits_after, misses_after) = run_cache.counts();
+        analysis.stats.feasibility_hits = hits_after - hits_before;
+        analysis.stats.feasibility_misses = misses_after - misses_before;
+        Ok(Some(analysis))
     }
 }
 
@@ -1167,6 +1429,31 @@ pub fn analyze(
     scheduler: &dyn Scheduler,
     opts: &ExactOptions,
 ) -> Result<Analysis, ExactError> {
+    run(model, scheduler, opts, false).map(|(analysis, _)| analysis)
+}
+
+/// [`analyze`], watching every parameter read, and reporting what later
+/// runs of `model` under other full bindings can reuse ([`Reuse`]). Only
+/// an enumeration of a fully bound model keeps anything; the analysis is
+/// the one [`analyze`] returns.
+///
+/// # Errors
+///
+/// As [`analyze`].
+pub fn analyze_keeping(
+    model: &Model,
+    scheduler: &dyn Scheduler,
+    opts: &ExactOptions,
+) -> Result<(Analysis, Reuse), ExactError> {
+    run(model, scheduler, opts, true)
+}
+
+fn run(
+    model: &Model,
+    scheduler: &dyn Scheduler,
+    opts: &ExactOptions,
+    keep: bool,
+) -> Result<(Analysis, Reuse), ExactError> {
     // Run the pass pipeline unless the caller opted out or already did it
     // (serve and sweep optimize up front so one optimized model serves many
     // runs); the pipeline is semantics-preserving, so this changes engine
@@ -1188,21 +1475,55 @@ pub fn analyze(
         // The diagram backend packs per-node queue flags into a `u128` (two
         // bits per node); larger models fall back to enumeration, which has
         // no such bound.
-        return crate::bdd_engine::analyze_bdd(model, scheduler, opts);
+        let analysis = crate::bdd_engine::analyze_bdd(model, scheduler, opts)?;
+        return Ok((analysis, Reuse::Never));
     }
+    if !keep || model.has_symbolic_params() {
+        let (analysis, ..) = explore(model, scheduler, opts)?;
+        return Ok((analysis, Reuse::Never));
+    }
+    let all: Vec<ParamId> = model.params.iter().collect();
+    let mut watched = model.clone();
+    watched.set_param_watch(Arc::new(ParamWatch::new(all.len(), &all)));
+    let (analysis, dag, init_reads) = explore(&watched, scheduler, opts)?;
+    // After the initial states only handler runs read bindings, and each
+    // such run labels its edges.
+    let reuse = if init_reads > 0 {
+        Reuse::Never
+    } else if watched.param_reads() == 0 {
+        Reuse::Blind
+    } else if dag.runs.is_empty() {
+        Reuse::Never
+    } else {
+        Reuse::Reweigh(Box::new(KeptDag::keep(dag, step_bound(model, opts))))
+    };
+    Ok((analysis, reuse))
+}
+
+/// One enumeration to the end of phase 1, weighed: the analysis, the DAG,
+/// and the parameter reads (see [`Model::param_reads`]) the initial states
+/// made.
+fn explore(
+    model: &Model,
+    scheduler: &dyn Scheduler,
+    opts: &ExactOptions,
+) -> Result<(Analysis, Dag, u64), ExactError> {
     let bound = step_bound(model, opts);
     let (run_cache, opts, (hits_before, misses_before)) = run_cache_opts(opts);
     let (_lease, workers) = lease_workers(&opts);
+    let sym = run_symmetry(model, scheduler);
+    let sym = sym.as_ref();
 
-    let mut dag = Dag::init(model, scheduler, &opts)?;
+    let mut dag = Dag::init(model, sym, &opts)?;
+    let init_reads = model.param_reads();
     while !dag.done() {
-        dag.step(model, scheduler, &opts, workers, bound)?;
+        dag.step(model, scheduler, sym, &opts, workers, bound)?;
     }
-    let mut analysis = dag.finish(bound, &opts.deadline)?;
+    let mut analysis = dag.finish(dag.weights(), bound, &opts.deadline)?;
     let (hits_after, misses_after) = run_cache.counts();
     analysis.stats.feasibility_hits = hits_after - hits_before;
     analysis.stats.feasibility_misses = misses_after - misses_before;
-    Ok(analysis)
+    Ok((analysis, dag, init_reads))
 }
 
 #[cfg(test)]
@@ -1224,7 +1545,7 @@ mod tests {
         let scheduler = scheduler_for(&plain);
         let opts = ExactOptions::default();
 
-        let mut state = Dag::init(&plain, &*scheduler, &opts).unwrap();
+        let mut state = Dag::init(&plain, None, &opts).unwrap();
         let (mut checked, mut moved) = (0, 0);
         while !state.done() {
             for &v in &state.level {
@@ -1240,7 +1561,9 @@ mod tests {
                 checked += 1;
                 moved += usize::from(reference_moved);
             }
-            state.step(&plain, &*scheduler, &opts, 1, 100).unwrap();
+            state
+                .step(&plain, &*scheduler, None, &opts, 1, 100)
+                .unwrap();
         }
         assert!(
             checked > 1000 && moved > 100,

@@ -47,7 +47,10 @@ mod sweep;
 mod synthesize;
 
 pub use bayonet_symbolic::FeasibilityCache;
-pub use engine::{analyze, Analysis, EngineKind, EngineStats, ExactError, ExactOptions};
+pub use engine::{
+    analyze, analyze_keeping, Analysis, EngineKind, EngineStats, ExactError, ExactOptions, KeptDag,
+    Reuse,
+};
 pub use enumerate::{enumerate_eval, enumerate_eval_cached, Branch, ReplayDriver};
 pub use planner::{plan_model, Plan, PlanDecision, PlanEngine, PlanSignals, PlannerConfig};
 pub use pool::{fan_out, ComputePool, PoolLease, PoolStats};

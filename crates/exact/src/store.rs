@@ -11,7 +11,9 @@
 //! The enumeration engine also memoizes, per run, everything an action
 //! derives from one node configuration ([`StateStore`]):
 //!
-//! * `(Run, i)` handler branches per `(node, id, guard)`;
+//! * `(Run, i)` handler branches per `(node, id, guard)`, with whether the
+//!   run read a watched parameter (what a kept DAG re-runs, see
+//!   [`KeptDag`](crate::KeptDag));
 //! * the two halves of `(Fwd, i)`: the sender's pop per `(node, id)` and the
 //!   receiver's push per `(sender, sender id, receiver id)`;
 //! * symmetry relabelling per `(group element, node, id)`.
@@ -46,7 +48,7 @@ use bayonet_net::{
 };
 
 use crate::engine::{ExactError, ExactOptions};
-use crate::enumerate::{enumerate_bounded, Bounds};
+use crate::enumerate::{enumerate_bounded, Bounds, Branch};
 
 /// What action enabling and termination read from a node configuration.
 #[derive(Clone, Copy, Debug)]
@@ -133,8 +135,10 @@ pub(crate) struct RunBranch {
     pub(crate) next: Option<u32>,
 }
 
-/// Memoized handler branches for one `(node, id)`: one entry per guard.
-type RunMemo = Vec<(Guard, Arc<[RunBranch]>)>;
+/// Memoized handler branches for one `(node, id)`: one entry per guard,
+/// with whether the run read a watched parameter (see
+/// [`View::run_branches`]).
+type RunMemo = Vec<(Guard, Arc<[RunBranch]>, bool)>;
 
 /// The enumeration engine's per-run store: interned node configurations
 /// and the action memos keyed by their ids (see the module docs).
@@ -194,8 +198,8 @@ impl StateStore {
         let id = |v: u32| remap.id(v);
         for ((node, v), entries) in own.run {
             let memo = self.run.entry((node, id(v))).or_default();
-            for (guard, branches) in entries {
-                if memo.iter().all(|(g, _)| *g != guard) {
+            for (guard, branches, reads) in entries {
+                if memo.iter().all(|(g, ..)| *g != guard) {
                     let branches = branches
                         .iter()
                         .map(|b| RunBranch {
@@ -203,7 +207,7 @@ impl StateStore {
                             ..b.clone()
                         })
                         .collect();
-                    memo.push((guard, branches));
+                    memo.push((guard, branches, reads));
                 }
             }
         }
@@ -236,6 +240,37 @@ impl StateStore {
     /// branches are the only memo that can depend on a parameter.
     pub(crate) fn forget_handler_runs(&mut self) {
         self.run.clear();
+    }
+
+    /// The memoized branches of the handler run `(node, id, guard)`.
+    pub(crate) fn handler_run(
+        &self,
+        node: u32,
+        id: u32,
+        guard: &Guard,
+    ) -> Option<&Arc<[RunBranch]>> {
+        let memo = self.run.get(&(node, id))?;
+        memo.iter().find(|(g, ..)| g == guard).map(|(_, b, _)| b)
+    }
+
+    /// Drops everything but the configurations themselves: the memos and
+    /// the intern index. What is left still decodes and orders keys, which
+    /// is all weighing a finished exploration needs.
+    pub(crate) fn keep_configs_only(&mut self) {
+        let nodes = std::mem::take(&mut self.nodes.nodes);
+        *self = StateStore::default();
+        self.nodes.nodes = nodes;
+    }
+
+    /// A rough size in bytes of the interned configurations (see
+    /// [`NodeConfig::approx_bytes`]).
+    pub(crate) fn config_bytes(&self) -> usize {
+        self.nodes.nodes.iter().map(NodeConfig::approx_bytes).sum()
+    }
+
+    /// The configuration interned under `id`.
+    pub(crate) fn node(&self, id: u32) -> &NodeConfig {
+        self.nodes.get(id)
     }
 
     /// The structural order of the configurations behind two keys: the
@@ -359,7 +394,13 @@ impl<'a> View<'a> {
     }
 
     /// The handler branches of `(Run, node)` on configuration `id` under
-    /// `guard`, computed once per distinct `(node, id, guard)`.
+    /// `guard`, computed once per distinct `(node, id, guard)`, and whether
+    /// computing them read a parameter the model's [`ParamWatch`] watches
+    /// (the watch's counter moved; under parallel expansion another
+    /// thread's read can move it too, so a run may be marked needlessly,
+    /// never missed).
+    ///
+    /// [`ParamWatch`]: bayonet_net::ParamWatch
     pub(crate) fn run_branches(
         &mut self,
         model: &Model,
@@ -367,7 +408,7 @@ impl<'a> View<'a> {
         node: usize,
         id: u32,
         guard: &Guard,
-    ) -> Result<Arc<[RunBranch]>, ExactError> {
+    ) -> Result<(Arc<[RunBranch]>, bool), ExactError> {
         let key = (node as u32, id);
         for memo in [self.base.run.get(&key), self.own.run.get(&key)]
             .into_iter()
@@ -375,51 +416,27 @@ impl<'a> View<'a> {
         {
             // Guards per (node, config) are few; a linear scan beats
             // cloning the guard into the hash key.
-            if let Some((_, branches)) = memo.iter().find(|(g, _)| g == guard) {
-                return Ok(Arc::clone(branches));
+            if let Some((_, branches, reads)) = memo.iter().find(|(g, ..)| g == guard) {
+                return Ok((Arc::clone(branches), *reads));
             }
         }
-        let nc = self.node(id);
-        let bounds = Bounds {
-            max_branches: opts.max_configs,
-            deadline: &opts.deadline,
-        };
-        let raw = enumerate_bounded(
-            guard,
-            opts.fm_pruning,
-            opts.feasibility_cache.as_deref(),
-            Some(&bounds),
-            |driver| {
-                let mut nc = nc.clone();
-                let outcome = run_handler(model, node, &mut nc, driver)?;
-                Ok((nc, outcome))
-            },
-        )?;
+        let reads_before = model.param_reads();
+        let raw = handler_branches(model, opts, node, self.node(id), guard)?;
+        let reads = model.param_reads() != reads_before;
         let branches: Arc<[RunBranch]> = raw
             .into_iter()
-            .map(|b| {
-                let (mut nc, outcome) = b.result;
-                let next = match outcome {
-                    HandlerOutcome::ObserveFailed => None,
-                    HandlerOutcome::Completed => Some(self.intern(nc)),
-                    HandlerOutcome::AssertFailed => {
-                        nc.error = true;
-                        Some(self.intern(nc))
-                    }
-                };
-                RunBranch {
-                    guard: b.guard,
-                    weight: b.weight,
-                    next,
-                }
+            .map(|b| RunBranch {
+                guard: b.guard,
+                weight: b.weight,
+                next: after_handler(b.result).map(|nc| self.intern(nc)),
             })
             .collect();
         self.own
             .run
             .entry(key)
             .or_default()
-            .push((guard.clone(), Arc::clone(&branches)));
-        Ok(branches)
+            .push((guard.clone(), Arc::clone(&branches), reads));
+        Ok((branches, reads))
     }
 
     /// Applies `(Fwd, node)` (rule G-Fwd) to `ids` in place: the sender's
@@ -527,15 +544,57 @@ impl<'a> View<'a> {
     }
 }
 
+/// Every complete execution of node `node`'s handler on `nc` under
+/// `guard`: per branch, its guard, its weight, and the node's
+/// configuration with the handler's outcome (see [`after_handler`]).
+pub(crate) fn handler_branches(
+    model: &Model,
+    opts: &ExactOptions,
+    node: usize,
+    nc: &NodeConfig,
+    guard: &Guard,
+) -> Result<Vec<Branch<(NodeConfig, HandlerOutcome)>>, ExactError> {
+    let bounds = Bounds {
+        max_branches: opts.max_configs,
+        deadline: &opts.deadline,
+    };
+    enumerate_bounded(
+        guard,
+        opts.fm_pruning,
+        opts.feasibility_cache.as_deref(),
+        Some(&bounds),
+        |driver| {
+            let mut nc = nc.clone();
+            let outcome = run_handler(model, node, &mut nc, driver)?;
+            Ok((nc, outcome))
+        },
+    )
+}
+
+/// The node's configuration after a handler run that ended in `outcome`
+/// (error flag set after a failed `assert`), or `None` when an `observe`
+/// failed and the mass is discarded.
+pub(crate) fn after_handler((mut nc, outcome): (NodeConfig, HandlerOutcome)) -> Option<NodeConfig> {
+    match outcome {
+        HandlerOutcome::ObserveFailed => None,
+        HandlerOutcome::Completed => Some(nc),
+        HandlerOutcome::AssertFailed => {
+            nc.error = true;
+            Some(nc)
+        }
+    }
+}
+
 /// One entry of the initial distribution: the guard, one interned id per
 /// node, and the mass.
 pub(crate) type Initial = (Guard, Vec<u32>, Rat);
 
 /// The initial distribution shared by both exact engines: enumerate every
 /// node's (possibly random) state initializer, intern each resulting node
-/// configuration once, and take the product. The product is charged
-/// against [`ExactOptions::max_configs`] as it grows, before anything is
-/// allocated for it.
+/// configuration once, and take the product. An initializer reads only its
+/// program, so nodes sharing a program share one enumeration. The product
+/// is charged against [`ExactOptions::max_configs`] as it grows, before
+/// anything is allocated for it.
 ///
 /// # Errors
 ///
@@ -547,6 +606,9 @@ pub(crate) fn initial_states(
     intern: &mut dyn FnMut(NodeConfig) -> u32,
 ) -> Result<Vec<Initial>, ExactError> {
     let k = model.num_nodes();
+    // Distinct programs with their initializer branches, and per node the
+    // index of its program among them.
+    let mut distinct: Vec<(&Arc<_>, Vec<Branch<Vec<Val>>>)> = Vec::new();
     let mut per_node = Vec::with_capacity(k);
     // Branch indices per node, with the mass and guard of the prefix.
     let mut product: Vec<(Vec<usize>, Rat, Guard)> =
@@ -556,13 +618,21 @@ pub(crate) fn initial_states(
         deadline: &opts.deadline,
     };
     for prog in &model.programs {
-        let branches = enumerate_bounded(
-            &Guard::top(),
-            opts.fm_pruning,
-            opts.feasibility_cache.as_deref(),
-            Some(&bounds),
-            |driver| bayonet_net::eval_state_init(model, prog, driver),
-        )?;
+        let p = match distinct.iter().position(|(q, _)| Arc::ptr_eq(q, prog)) {
+            Some(p) => p,
+            None => {
+                let branches = enumerate_bounded(
+                    &Guard::top(),
+                    opts.fm_pruning,
+                    opts.feasibility_cache.as_deref(),
+                    Some(&bounds),
+                    |driver| bayonet_net::eval_state_init(model, prog, driver),
+                )?;
+                distinct.push((prog, branches));
+                distinct.len() - 1
+            }
+        };
+        let branches = &distinct[p].1;
         let size = product
             .len()
             .checked_mul(branches.len())
@@ -580,7 +650,7 @@ pub(crate) fn initial_states(
             }
         }
         product = next;
-        per_node.push(branches);
+        per_node.push(p);
     }
     if product.is_empty() {
         return Ok(Vec::new());
@@ -591,13 +661,13 @@ pub(crate) fn initial_states(
     let ids: Vec<Vec<u32>> = per_node
         .into_iter()
         .zip(&template.nodes)
-        .map(|(branches, start)| {
-            branches
-                .into_iter()
+        .map(|(p, start)| {
+            distinct[p]
+                .1
+                .iter()
                 .map(|b| {
-                    let state: Vec<Val> = b.result;
                     intern(NodeConfig {
-                        state,
+                        state: b.result.clone(),
                         ..start.clone()
                     })
                 })

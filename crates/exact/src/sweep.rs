@@ -45,8 +45,8 @@ use bayonet_symbolic::{Assignment, Guard, ParamId};
 use bayonet_net::{scheduler_for, Model, ParamWatch, Scheduler, Val};
 
 use crate::engine::{
-    analyze, lease_workers, run_cache_opts, step_bound, Analysis, Dag, EngineKind, EngineStats,
-    ExactError, ExactOptions,
+    analyze, lease_workers, run_cache_opts, run_symmetry, step_bound, Analysis, Dag, EngineKind,
+    EngineStats, ExactError, ExactOptions,
 };
 use crate::query::{answer_cached, CellAnswer, QueryResult};
 
@@ -408,7 +408,9 @@ fn probe(
     let watch = Arc::new(ParamWatch::new(probe.params.len(), params));
     probe.set_param_watch(Arc::clone(&watch));
 
-    let Ok(mut state) = Dag::init(&probe, scheduler, opts) else {
+    let sym = run_symmetry(&probe, scheduler);
+    let sym = sym.as_ref();
+    let Ok(mut state) = Dag::init(&probe, sym, opts) else {
         // Initialization failed; whether the error depends on the grid is
         // unknown, so let every point reproduce it independently.
         return Probe::Nothing;
@@ -421,13 +423,13 @@ fn probe(
         if state.done() {
             // Weighing reads no parameter; an error here (a cycle, the
             // step bound) is every point's own.
-            return match state.finish(bound, &opts.deadline) {
+            return match state.finish(state.weights(), bound, &opts.deadline) {
                 Ok(analysis) => Probe::Complete(analysis),
                 Err(_) => Probe::Nothing,
             };
         }
         let mark = state.mark();
-        match state.step(&probe, scheduler, opts, workers, bound) {
+        match state.step(&probe, scheduler, sym, opts, workers, bound) {
             // This step consumed a swept binding: its successors are
             // point-specific. The pre-step position is the shared prefix.
             // The erroring step may or may not depend on the grid; keep
@@ -520,10 +522,11 @@ fn replay_route(
                 steps: prefix_stats.steps,
                 ..EngineStats::default()
             };
+            let sym = run_symmetry(&pm, scheduler);
             while !state.done() {
-                state.step(&pm, scheduler, opts, workers, bound)?;
+                state.step(&pm, scheduler, sym.as_ref(), opts, workers, bound)?;
             }
-            let analysis = state.finish(bound, &opts.deadline)?;
+            let analysis = state.finish(state.weights(), bound, &opts.deadline)?;
             Ok(SweepPointResult {
                 results: answer_point(&pm, &analysis, opts)?,
                 z: analysis.total_terminal_mass(),

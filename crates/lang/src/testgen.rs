@@ -32,6 +32,10 @@ pub struct ProgramGen {
     /// comparison) — sweep-ready programs for the grid-vs-pointwise
     /// differential suites.
     parameterized: bool,
+    /// When set, the program declares `parameters { PF }` and uses the
+    /// parameter as a `flip` probability: always in node `N0`'s forward
+    /// decision, and in some of the other flips.
+    flip_param: bool,
 }
 
 impl ProgramGen {
@@ -41,6 +45,7 @@ impl ProgramGen {
         ProgramGen {
             state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
             parameterized: false,
+            flip_param: false,
         }
     }
 
@@ -53,6 +58,18 @@ impl ProgramGen {
     pub fn new_parameterized(seed: u64) -> ProgramGen {
         ProgramGen {
             parameterized: true,
+            ..ProgramGen::new(seed)
+        }
+    }
+
+    /// Like [`ProgramGen::new`], but the generated program declares a
+    /// probability parameter `PF` and draws `flip(PF)` in node `N0`'s
+    /// forward decision and in some other flips. Binding `PF` to any value
+    /// in `[0, 1]` yields a valid concrete program whose handler runs read
+    /// the binding while its initializers do not.
+    pub fn new_flip_parameterized(seed: u64) -> ProgramGen {
+        ProgramGen {
+            flip_param: true,
             ..ProgramGen::new(seed)
         }
     }
@@ -82,6 +99,9 @@ impl ProgramGen {
         src.push_str("packet_fields { tag }\n");
         if self.parameterized {
             src.push_str("parameters { PT }\n");
+        }
+        if self.flip_param {
+            src.push_str("parameters { PF }\n");
         }
         src.push_str("topology {\n    nodes { ");
         for i in 0..nodes {
@@ -163,12 +183,21 @@ impl ProgramGen {
             let stmt = self.gen_stmt(&var, true);
             let _ = writeln!(src, "    {stmt}");
         }
-        match self.below(3) {
+        let decision = if self.flip_param && node == 0 {
+            0
+        } else {
+            self.below(3)
+        };
+        match decision {
             0 => {
+                let p = if self.flip_param && node == 0 {
+                    "PF".to_string()
+                } else {
+                    self.probability()
+                };
                 let _ = writeln!(
                     src,
-                    "    if flip({}) {{ fwd({right_port}); }} else {{ drop; }}",
-                    self.probability()
+                    "    if flip({p}) {{ fwd({right_port}); }} else {{ drop; }}"
                 );
             }
             1 => {
@@ -227,8 +256,12 @@ impl ProgramGen {
         }
     }
 
-    /// A random probability literal in (0, 1).
+    /// A random probability literal in (0, 1), or sometimes `PF` when the
+    /// program declares it.
     fn probability(&mut self) -> String {
+        if self.flip_param && self.below(3) == 0 {
+            return "PF".to_string();
+        }
         const CHOICES: [&str; 5] = ["1/2", "1/3", "2/3", "1/4", "3/4"];
         CHOICES[self.below(CHOICES.len() as u64) as usize].to_string()
     }
@@ -281,6 +314,24 @@ mod tests {
         // Some seeds must gate a forward decision on PT (the prefix-fork
         // case), not only the query threshold (the fully-shared case).
         assert!(gated > 0, "no seed gated forwarding on PT");
+    }
+
+    #[test]
+    fn flip_parameterized_programs_draw_the_parameter() {
+        for seed in 0..50 {
+            let src = ProgramGen::new_flip_parameterized(seed).generate();
+            parse(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
+            assert!(src.contains("parameters { PF }"), "seed {seed}:\n{src}");
+            assert!(
+                src.contains("if flip(PF) { fwd(1); }"),
+                "seed {seed}:\n{src}"
+            );
+            assert_eq!(
+                src,
+                ProgramGen::new_flip_parameterized(seed).generate(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

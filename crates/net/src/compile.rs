@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bayonet_lang::ast;
@@ -176,23 +176,25 @@ pub struct InitPacketSpec {
     pub fields: Vec<(usize, CExpr)>,
 }
 
-/// A fully compiled, executable network model.
+/// Observes parameter-binding reads on behalf of the sweep engine and the
+/// exact engine's kept explorations.
 ///
-/// Observes parameter-binding reads on behalf of the sweep engine.
-///
-/// A watch marks a subset of parameters as *watched*; whenever
-/// [`Model::binding`] is consulted for a watched parameter the sticky
-/// [`ParamWatch::hit`] flag trips. Exploration that never trips the watch
-/// is provably independent of the watched parameters' values, so it can be
-/// replayed verbatim across every point of a parameter grid. The flag is an
-/// atomic because the exact engine expands frontiers from multiple worker
-/// threads.
+/// A watch marks a subset of parameters as *watched*; every time
+/// [`Model::binding`] is consulted for a watched parameter the watch's
+/// monotone read counter ([`ParamWatch::reads`]) rises. Exploration that
+/// never moves the counter is provably independent of the watched
+/// parameters' values, so it can be replayed verbatim across every point of
+/// a parameter grid; a counter snapshot taken around one handler run tells
+/// whether that run read a watched binding. The counter is an atomic
+/// because the exact engine expands frontiers from multiple worker threads,
+/// so a snapshot window can also include other threads' reads, never miss
+/// its own.
 #[derive(Debug, Default)]
 pub struct ParamWatch {
     /// `mask[ParamId::index()]` — is this parameter watched?
     mask: Vec<bool>,
-    /// Sticky flag: has any watched parameter been read?
-    hit: AtomicBool,
+    /// Watched reads so far; never decreases.
+    reads: AtomicU64,
 }
 
 impl ParamWatch {
@@ -204,29 +206,30 @@ impl ParamWatch {
         }
         ParamWatch {
             mask,
-            hit: AtomicBool::new(false),
+            reads: AtomicU64::new(0),
         }
     }
 
     /// Records one binding read (called from [`Model::binding`]).
     fn note_read(&self, id: ParamId) {
         if self.mask.get(id.index()).copied().unwrap_or(false) {
-            self.hit.store(true, Ordering::Relaxed);
+            self.reads.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Has any watched parameter been read since construction / the last
-    /// [`ParamWatch::reset`]?
-    pub fn hit(&self) -> bool {
-        self.hit.load(Ordering::Relaxed)
+    /// Watched binding reads since construction.
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
     }
 
-    /// Clears the sticky flag.
-    pub fn reset(&self) {
-        self.hit.store(false, Ordering::Relaxed);
+    /// Has any watched parameter been read since construction?
+    pub fn hit(&self) -> bool {
+        self.reads() > 0
     }
 }
 
+/// A fully compiled, executable network model.
+///
 /// Cloning is cheap relative to compilation: node programs are shared
 /// behind [`Arc`], so a clone copies only the tables and bindings. The
 /// serve layer's batch endpoint relies on this to compile a shared source
@@ -334,6 +337,12 @@ impl Model {
     /// swept parameter.
     pub fn set_param_watch(&mut self, watch: Arc<ParamWatch>) {
         self.watch = Some(watch);
+    }
+
+    /// The installed [`ParamWatch`]'s read counter ([`ParamWatch::reads`]),
+    /// or 0 without one.
+    pub fn param_reads(&self) -> u64 {
+        self.watch.as_ref().map_or(0, |w| w.reads())
     }
 
     /// Removes any installed [`ParamWatch`]; binding reads are no longer
@@ -794,8 +803,9 @@ mod tests {
         let clone = model.clone();
         let _ = clone.binding(id);
         assert!(watch.hit());
-        watch.reset();
-        assert!(!watch.hit());
+        assert_eq!((watch.reads(), model.param_reads()), (1, 1));
+        let _ = model.binding(id);
+        assert_eq!(watch.reads(), 2, "the counter is monotone");
 
         // An empty watch never trips; clearing detaches the model.
         let empty = Arc::new(ParamWatch::new(model.params.len(), &[]));
@@ -804,7 +814,10 @@ mod tests {
         assert!(!empty.hit());
         model.clear_param_watch();
         let _ = model.binding(id);
-        assert!(!watch.hit() && !empty.hit());
+        assert_eq!(
+            (watch.reads(), empty.reads(), model.param_reads()),
+            (2, 0, 0)
+        );
     }
 
     #[test]

@@ -36,6 +36,15 @@ impl NodeConfig {
             error: false,
         }
     }
+
+    /// A rough size in bytes: the configuration, its state slots and its
+    /// queued packets. Heap words inside values are not counted.
+    pub fn approx_bytes(&self) -> usize {
+        let queued = self.q_in.iter().chain(self.q_out.iter());
+        std::mem::size_of_val(self)
+            + std::mem::size_of_val(self.state.as_slice())
+            + queued.map(std::mem::size_of_val).sum::<usize>()
+    }
 }
 
 /// A global network configuration: the scheduler state plus every node's

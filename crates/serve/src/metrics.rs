@@ -41,7 +41,7 @@ pub(crate) enum Counter {
     Batches, BatchItems, BatchItemErrors, BatchCompiles, BatchSourceReuse,
     SweepPoints, SweepPointErrors, SweepPrefixReuse, SweepPrefixSteps,
     // Explorations kept with optimized models.
-    MemoHits, MemoMisses, MemoBytes,
+    MemoHits, MemoReweighs, MemoShapeFallbacks, MemoMisses, MemoBytes,
     // Exact-engine work, summed over every run.
     EngineSteps, EngineExpansions, EngineMergeHits, EnginePeakConfigs,
     OptPassRuns, OptOrbitStatesMerged,
@@ -111,7 +111,7 @@ use Source::{CostRatio, Labelled, Latency, Persist, Pool, Requests, Scalar};
 
 /// Every family `/metrics` exposes, in exposition order.
 #[rustfmt::skip]
-const FAMILIES: [Family; 48] = [
+const FAMILIES: [Family; 50] = [
     counter("bayonet_requests_total", Requests, "Completed HTTP requests."),
     histogram("bayonet_request_seconds", Latency, "Request latency."),
     gauge("bayonet_queue_depth", Scalar(C::QueueDepth), "Jobs waiting in the worker queue."),
@@ -161,7 +161,11 @@ const FAMILIES: [Family; 48] = [
     counter("bayonet_sweep_prefix_steps_total", Scalar(C::SweepPrefixSteps),
         "Global steps of shared (run-once) sweep exploration."),
     counter("bayonet_exploration_memo_hits_total", Scalar(C::MemoHits),
-        "Exact runs answered from a kept parameter-blind exploration, without exploring."),
+        "Exact runs answered from a kept exploration, without exploring."),
+    counter("bayonet_exploration_memo_reweighs_total", Scalar(C::MemoReweighs),
+        "Memo hits answered by re-weighing a kept transition DAG under a new binding."),
+    counter("bayonet_exploration_memo_shape_fallbacks_total", Scalar(C::MemoShapeFallbacks),
+        "Re-weighs abandoned because the new binding changed the DAG's shape; each explores afresh."),
     counter("bayonet_exploration_memo_misses_total", Scalar(C::MemoMisses),
         "Explorations run for a kept program with every parameter bound."),
     gauge("bayonet_exploration_memo_bytes", Scalar(C::MemoBytes),

@@ -52,13 +52,14 @@ use std::time::{Duration, Instant};
 
 use bayonet_approx::{rejection, render_estimate, smc, ApproxError, ApproxOptions, Estimate};
 use bayonet_exact::{
-    analyze, answer_cached, fan_out, plan_model, render_run, render_synthesis, synthesize_result,
-    Analysis, ComputePool, EngineKind, ExactError, ExactOptions, FeasibilityCache, Objective, Plan,
-    PlanDecision, PlanEngine, PlannerConfig, QueryResult, SweepResult, SynthesisOptions,
+    analyze, analyze_keeping, answer_cached, fan_out, plan_model, render_run, render_synthesis,
+    synthesize_result, Analysis, ComputePool, EngineKind, ExactError, ExactOptions,
+    FeasibilityCache, KeptDag, Objective, Plan, PlanDecision, PlanEngine, PlannerConfig,
+    QueryResult, Reuse, SweepResult, SynthesisOptions,
 };
 use bayonet_lang::{check, parse, pretty_program, Program};
 use bayonet_net::opt::optimize;
-use bayonet_net::{compile, scheduler_for, CompiledQuery, Deadline, Model, ParamWatch};
+use bayonet_net::{compile, scheduler_for, CompiledQuery, Deadline, Model};
 use bayonet_num::Rat;
 
 use crate::cache::LruCache;
@@ -102,7 +103,7 @@ const OPTIMIZED_MODELS: usize = 16;
 const OPTIMIZED_SOURCE_BYTES: usize = 16 * 1024;
 
 /// Largest exploration kept with a program's optimized model, by
-/// [`exploration_bytes`]; the kept explorations never exceed
+/// [`Exploration::bytes`]; the kept explorations never exceed
 /// [`OPTIMIZED_MODELS`] times this.
 const EXPLORATION_BYTES: usize = 1024 * 1024;
 
@@ -430,25 +431,31 @@ impl Service {
     /// first time an item needs it. Passes never fold parameters, so one
     /// optimized model serves every item and binding. Programs up to
     /// [`OPTIMIZED_SOURCE_BYTES`] keep theirs for later requests too, since
-    /// `auto` items are planned on it even when their answer is cached.
+    /// `auto` items are planned on it even when their answer is cached; a
+    /// request that finds its program kept compiles nothing.
     fn exact_model<'s>(&self, source: &'s Source, passes: bool) -> Result<&'s Model, ApiError> {
-        let model = source.model()?;
         if !passes {
-            return Ok(model);
+            return source.model();
         }
-        let kept = source.optimized.get_or_init(|| {
-            let keep = source.canonical.len() <= OPTIMIZED_SOURCE_BYTES;
-            let memo = &self.optimized;
-            if keep {
-                if let Some(kept) = memo.lock().expect("kept mutex").get(&source.canonical) {
-                    return Arc::clone(kept);
-                }
+        let keep = source.canonical.len() <= OPTIMIZED_SOURCE_BYTES;
+        let memo = &self.optimized;
+        if keep && source.optimized.get().is_none() {
+            // A kept program checked and compiled once already, and its
+            // optimized model is all an exact run needs: compile nothing.
+            if let Some(kept) = memo.lock().expect("kept mutex").get(&source.canonical) {
+                let _ = source.optimized.set(Arc::clone(kept));
             }
+        }
+        if let Some(kept) = source.optimized.get() {
+            return Ok(&kept.model);
+        }
+        let model = source.model()?;
+        let kept = source.optimized.get_or_init(|| {
             let optimized = optimize(model);
             self.metrics.add(Counter::OptPassRuns, 1);
             let kept = Arc::new(Kept {
                 model: optimized,
-                exploration: OnceLock::new(),
+                exploration: Mutex::default(),
             });
             if keep {
                 let mut memo = memo.lock().expect("kept mutex");
@@ -459,9 +466,12 @@ impl Service {
                 }
                 if let Some((_, evicted)) = memo.insert(source.canonical.clone(), Arc::clone(&kept))
                 {
-                    if let Some((_, bytes)) = evicted.exploration.get() {
-                        self.metrics.add(Counter::MemoBytes, -(*bytes as i64));
-                    }
+                    let bytes = evicted
+                        .exploration
+                        .lock()
+                        .expect("exploration mutex")
+                        .bytes();
+                    self.metrics.add(Counter::MemoBytes, -(bytes as i64));
                 }
             }
             kept
@@ -469,21 +479,35 @@ impl Service {
         Ok(&kept.model)
     }
 
-    /// Keeps `analysis` as `kept`'s exploration when it fits
-    /// [`EXPLORATION_BYTES`] and `kept` is still `source`'s entry in the
-    /// memo: only a kept entry takes one, so evicting it always returns the
-    /// bytes it added to `bayonet_exploration_memo_bytes`.
-    fn keep_exploration(&self, source: &Source, kept: &Arc<Kept>, analysis: &Arc<Analysis>) {
-        let bytes = exploration_bytes(analysis);
+    /// Replaces `kept`'s exploration with `next` when it fits
+    /// [`EXPLORATION_BYTES`], `kept` is still `source`'s entry in the memo,
+    /// and `replace` approves the current one. Only a kept entry changes,
+    /// so evicting it always returns the bytes it added to
+    /// `bayonet_exploration_memo_bytes`.
+    fn set_exploration(
+        &self,
+        source: &Source,
+        kept: &Arc<Kept>,
+        replace: impl FnOnce(&Exploration) -> bool,
+        next: Exploration,
+    ) {
+        let bytes = next.bytes();
         if bytes > EXPLORATION_BYTES {
             return;
         }
         let mut memo = self.optimized.lock().expect("kept mutex");
-        let current = memo
+        if !memo
             .get(&source.canonical)
-            .is_some_and(|entry| Arc::ptr_eq(entry, kept));
-        if current && kept.exploration.set((Arc::clone(analysis), bytes)).is_ok() {
-            self.metrics.add(Counter::MemoBytes, bytes as i64);
+            .is_some_and(|entry| Arc::ptr_eq(entry, kept))
+        {
+            return;
+        }
+        let mut current = kept.exploration.lock().expect("exploration mutex");
+        if replace(&current) {
+            let freed = current.bytes();
+            *current = next;
+            self.metrics
+                .add(Counter::MemoBytes, bytes as i64 - freed as i64);
         }
     }
 
@@ -686,13 +710,16 @@ impl Service {
     /// exploration ran: `false` when a kept one answered.
     ///
     /// An enumeration of a kept program's optimized model with every
-    /// parameter bound runs under a [`ParamWatch`] on all parameters. When
-    /// the watch stays clear, no handler or initializer read a binding, so
-    /// the exploration — symmetry reduction and statistics included — is
-    /// the same for every binding and is kept with the model. A later run
-    /// of the program under any full binding answers its queries against
-    /// it, and its response is byte-identical to a fresh run's. Errors,
-    /// including deadline interrupts, are never kept.
+    /// parameter bound consults the program's [`Exploration`]. The first
+    /// one explores with [`analyze_keeping`], which watches every binding
+    /// read. When nothing read one, the exploration — symmetry reduction
+    /// and statistics included — is the same for every binding, and its
+    /// analysis is kept. When only handler runs read one, the transition
+    /// DAG is kept instead, and a later binding re-runs just those runs
+    /// and re-weighs it ([`KeptDag::reweigh`]); a binding that changes the
+    /// DAG's shape explores afresh, as does every later one. Either way a
+    /// response is byte-identical to a fresh run's. Errors, including
+    /// deadline interrupts, are never kept.
     fn exact_run(
         &self,
         req: &InferenceRequest,
@@ -715,33 +742,70 @@ impl Service {
             }
             _ => None,
         };
-        let explore = |model: &Model| {
+        let explore = || {
             let analysis =
                 analyze(model, &*scheduler_for(model), &opts).map_err(|e| exact_error(&e))?;
             self.metrics.record_engine(&analysis.stats);
             Ok::<_, ApiError>(Arc::new(analysis))
         };
-        let reused = memo.and_then(|kept| kept.exploration.get());
-        let analysis = match (memo, reused) {
-            (_, Some((analysis, _))) => {
-                self.metrics.add(Counter::MemoHits, 1);
-                Arc::clone(analysis)
-            }
-            (Some(kept), None) => {
-                self.metrics.add(Counter::MemoMisses, 1);
-                let all: Vec<_> = model.params.iter().collect();
-                let watch = Arc::new(ParamWatch::new(all.len(), &all));
-                let mut watched = model.clone();
-                watched.set_param_watch(Arc::clone(&watch));
-                // Read before the queries are answered on `model`: they may
-                // read parameters, and each binding answers them itself.
-                let analysis = explore(&watched)?;
-                if !watch.hit() {
-                    self.keep_exploration(source, kept, &analysis);
+        let (analysis, explored) = match memo {
+            None => (explore()?, true),
+            Some(kept) => {
+                let kept_now = kept.exploration.lock().expect("exploration mutex").clone();
+                match kept_now {
+                    Exploration::Blind(analysis, _) => {
+                        self.metrics.add(Counter::MemoHits, 1);
+                        (analysis, false)
+                    }
+                    Exploration::Dag(dag, _) => {
+                        match dag.reweigh(model, &opts).map_err(|e| exact_error(&e))? {
+                            Some(analysis) => {
+                                self.metrics.add(Counter::MemoHits, 1);
+                                self.metrics.add(Counter::MemoReweighs, 1);
+                                (Arc::new(analysis), false)
+                            }
+                            None => {
+                                self.metrics.add(Counter::MemoShapeFallbacks, 1);
+                                self.metrics.add(Counter::MemoMisses, 1);
+                                let stale = |now: &Exploration| match now {
+                                    Exploration::Dag(d, _) => Arc::ptr_eq(d, &dag),
+                                    _ => false,
+                                };
+                                self.set_exploration(source, kept, stale, Exploration::Fresh);
+                                // Free the DAG before exploring beside it.
+                                drop(dag);
+                                (explore()?, true)
+                            }
+                        }
+                    }
+                    Exploration::Fresh => {
+                        self.metrics.add(Counter::MemoMisses, 1);
+                        (explore()?, true)
+                    }
+                    Exploration::Unexplored => {
+                        self.metrics.add(Counter::MemoMisses, 1);
+                        let (analysis, reuse) =
+                            analyze_keeping(model, &*scheduler_for(model), &opts)
+                                .map_err(|e| exact_error(&e))?;
+                        self.metrics.record_engine(&analysis.stats);
+                        let analysis = Arc::new(analysis);
+                        let next = match reuse {
+                            Reuse::Never => Exploration::Fresh,
+                            Reuse::Blind => {
+                                let bytes = exploration_bytes(&analysis);
+                                Exploration::Blind(Arc::clone(&analysis), bytes)
+                            }
+                            Reuse::Reweigh(dag) => {
+                                let bytes = dag.bytes();
+                                Exploration::Dag(Arc::from(dag), bytes)
+                            }
+                        };
+                        let unexplored = |now: &Exploration| matches!(now, Exploration::Unexplored);
+                        self.set_exploration(source, kept, unexplored, next);
+                        (analysis, true)
+                    }
                 }
-                analysis
             }
-            (None, None) => explore(model)?,
         };
         let results = queries
             .iter()
@@ -749,7 +813,7 @@ impl Service {
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| exact_error(&e))?;
         self.record_feasibility(&feasibility);
-        Ok((analysis, results, reused.is_none()))
+        Ok((analysis, results, explored))
     }
 
     /// Folds one request's feasibility-cache totals into the metrics, from
@@ -990,12 +1054,37 @@ struct Source {
     optimized: OnceLock<Arc<Kept>>,
 }
 
-/// One program's work kept across requests: its optimized model and, once
-/// a fully bound enumeration read no parameter, that exploration with its
-/// [`exploration_bytes`] (see [`Service::exact_run`]).
+/// One program's work kept across requests: its optimized model and what
+/// its fully bound enumerations reuse (see [`Service::exact_run`]).
 struct Kept {
     model: Model,
-    exploration: OnceLock<(Arc<Analysis>, usize)>,
+    exploration: Mutex<Exploration>,
+}
+
+/// What a kept program's next fully bound enumeration reuses.
+#[derive(Clone, Default)]
+enum Exploration {
+    /// Nothing yet: not explored, or the exploration did not fit
+    /// [`EXPLORATION_BYTES`].
+    #[default]
+    Unexplored,
+    /// No binding was read: the analysis answers every binding.
+    Blind(Arc<Analysis>, usize),
+    /// Only handler runs read a binding: the DAG, re-weighed per binding.
+    Dag(Arc<KeptDag>, usize),
+    /// Every binding explores afresh: something besides a handler run read
+    /// a binding, or a binding changed the DAG's shape.
+    Fresh,
+}
+
+impl Exploration {
+    /// What the entry adds to `bayonet_exploration_memo_bytes`.
+    fn bytes(&self) -> usize {
+        match self {
+            Exploration::Blind(_, bytes) | Exploration::Dag(_, bytes) => *bytes,
+            Exploration::Unexplored | Exploration::Fresh => 0,
+        }
+    }
 }
 
 /// A rough size of `analysis` in bytes: every terminal configuration with
@@ -1006,17 +1095,7 @@ fn exploration_bytes(analysis: &Analysis) -> usize {
         .terminals
         .iter()
         .map(|terminal| {
-            let nodes: usize = terminal
-                .0
-                .nodes
-                .iter()
-                .map(|node| {
-                    let queued = node.q_in.iter().chain(node.q_out.iter());
-                    size_of_val(node)
-                        + size_of_val(node.state.as_slice())
-                        + queued.map(size_of_val).sum::<usize>()
-                })
-                .sum();
+            let nodes: usize = terminal.0.nodes.iter().map(|n| n.approx_bytes()).sum();
             size_of_val(terminal) + nodes
         })
         .sum();
